@@ -38,6 +38,7 @@ from .sweep import (
     SweepGrid,
     ThresholdSummary,
     frontier_curve,
+    frontier_sweep,
     sweep_matrix,
     threshold_share,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "crossing_point",
     "effective_labor",
     "frontier_curve",
+    "frontier_sweep",
     "interior_optimum",
     "load_countries",
     "objective",

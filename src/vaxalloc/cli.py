@@ -26,9 +26,9 @@ from .calibration import (
     calibrate,
     load_countries,
 )
-from .model import Clamp, ModelInputError, Scenario, solve
+from .model import CLAMPS, Clamp, ModelInputError, Scenario, solve
 from .oracle import OracleConfig, brute_force_optimum
-from .sweep import GridSpec, sweep_matrix, threshold_share
+from .sweep import GridSpec, SweepGrid, frontier_sweep, sweep_matrix, threshold_share
 
 DATASET_ENV_VAR = "VAXALLOC_DATASET"
 
@@ -39,6 +39,8 @@ EXIT_DATA = 2
 DEFAULT_V_OVER_L = (0.2, 0.4, 0.6)
 DEFAULT_BETA_WHITE = (0.05, 0.25)
 DEFAULT_THRESHOLD = 0.66
+
+CLAMP_NAMES = tuple(clamp.value for clamp in CLAMPS)  # clamp code -> CSV label
 
 SOLVE_FIELDS = (
     "country", "beta_w", "beta_b", "v_over_l", "v_blue_star", "v_ratio",
@@ -118,7 +120,8 @@ def build_parser() -> _Parser:
                        help="solve the full (beta_w, beta_b) matrix")
     p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L)
     p.add_argument("--workers", type=int, default=1,
-                   help="process-pool size for cell evaluation (default 1)")
+                   help="accepted and ignored: each matrix is solved as one array "
+                   "computation")
     p.add_argument("--out-dir", metavar="DIR",
                    help="write one file per (country, v_over_l) here instead of --output")
 
@@ -254,18 +257,9 @@ def _cmd_frontier(args, records, provenance) -> int:
     for record in records:
         profile = calibrate(record, args.gamma)
         for v_over_l in args.v_over_l:
-            vaccines = v_over_l * profile.total_labor
             for beta_w in args.beta_w:
-                for beta_b in grid.values():
-                    result = solve(profile, Scenario(beta_w, beta_b, vaccines))
-                    rows.append({
-                        "country": record.country_code,
-                        "v_over_l": v_over_l,
-                        "beta_w": beta_w,
-                        "beta_b": beta_b,
-                        "v_ratio": result.v_blue_star / vaccines,
-                        "clamp": result.clamp.value,
-                    })
+                curve = frontier_sweep(profile, beta_w, v_over_l, grid)
+                rows.extend(_sweep_rows(record.country_code, curve))
     metadata = {
         "gamma": args.gamma,
         "beta_w": list(args.beta_w),
@@ -278,18 +272,18 @@ def _cmd_frontier(args, records, provenance) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(country: str, grid_result) -> list[dict]:
+def _sweep_rows(country: str, sweep: SweepGrid) -> list[dict]:
+    ratios = (sweep.v_blue_star / sweep.vaccines).tolist()
     rows = []
-    for beta_w in grid_result.spec.values():
-        for beta_b in grid_result.spec.values():
-            cell = grid_result.cells[(beta_w, beta_b)]
+    for beta_w, ratio_row, clamp_row in zip(sweep.beta_white, ratios, sweep.clamp.tolist()):
+        for beta_b, ratio, code in zip(sweep.beta_blue, ratio_row, clamp_row):
             rows.append({
                 "country": country,
-                "v_over_l": grid_result.v_over_l,
+                "v_over_l": sweep.v_over_l,
                 "beta_w": beta_w,
                 "beta_b": beta_b,
-                "v_ratio": cell.v_blue_star / grid_result.vaccines,
-                "clamp": cell.clamp.value,
+                "v_ratio": ratio,
+                "clamp": CLAMP_NAMES[code],
             })
     return rows
 
@@ -309,7 +303,7 @@ def _cmd_sweep(args, records, provenance) -> int:
         for record in records:
             profile = calibrate(record, args.gamma)
             for v_over_l in args.v_over_l:
-                result = sweep_matrix(profile, v_over_l, grid, workers=args.workers)
+                result = sweep_matrix(profile, v_over_l, grid)
                 rows = _sweep_rows(record.country_code, result)
                 metadata = {**base_metadata, "v_over_l": v_over_l,
                             "degenerate_rows": _count_degenerate(rows)}
@@ -322,7 +316,7 @@ def _cmd_sweep(args, records, provenance) -> int:
     for record in records:
         profile = calibrate(record, args.gamma)
         for v_over_l in args.v_over_l:
-            result = sweep_matrix(profile, v_over_l, grid, workers=args.workers)
+            result = sweep_matrix(profile, v_over_l, grid)
             rows.extend(_sweep_rows(record.country_code, result))
     metadata = {**base_metadata, "degenerate_rows": _count_degenerate(rows)}
     _write(args, "sweep", SWEEP_FIELDS, rows, metadata)

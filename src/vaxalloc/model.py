@@ -39,6 +39,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 
 class ModelInputError(ValueError):
     """An argument violates a model precondition (range or pairing)."""
@@ -59,6 +61,10 @@ class Clamp(str, Enum):
     INTERIOR = "Interior"       # root inside (0, V): layoffs fully avoidable
     ALL_BLUE = "AllBlue"        # root >= V: give every dose to blue-collars
     DEGENERATE = "Degenerate"   # doses have no effect; conventional split used
+
+
+CLAMPS = tuple(Clamp)  # clamp code i, as returned by solve_arrays, names CLAMPS[i]
+_ALL_WHITE, _INTERIOR, _ALL_BLUE, _DEGENERATE = range(len(CLAMPS))
 
 
 @dataclass(frozen=True)
@@ -276,6 +282,46 @@ def solve(profile: EconomyProfile, scenario: Scenario) -> AllocationResult:
         surplus_blue=surplus_blue,
         surplus_white=surplus_white,
     )
+
+
+def solve_arrays(
+    profile: EconomyProfile,
+    beta_white: np.ndarray | float,
+    beta_blue: np.ndarray | float,
+    vaccines: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal blue-collar doses and clamp codes for many risk pairs at once.
+
+    ``beta_white`` and ``beta_blue`` broadcast against each other; the result
+    is ``(v_blue_star, clamp_code)`` of the broadcast shape, where
+    ``CLAMPS[clamp_code]`` is the branch.  The arithmetic follows
+    ``interior_optimum`` and ``solve`` operation for operation, so every
+    element equals ``solve(profile, Scenario(bw, bb, vaccines))`` bit for
+    bit.  Nothing is validated here: pass risks in [0, 1] and a stock in
+    [0, L), as ``GridSpec`` and ``Scenario.with_coverage`` guarantee.
+    """
+    beta_white = np.asarray(beta_white, dtype=float)
+    beta_blue = np.asarray(beta_blue, dtype=float)
+    white_dose = 1.0 - profile.gamma * (1.0 - beta_white)
+    leverage = profile.alpha_blue * beta_blue + profile.alpha_white * white_dose
+    numerator = profile.alpha_white * (
+        (1.0 - beta_white) * profile.gamma * profile.labor_white + white_dose * vaccines
+    ) - (1.0 - beta_blue) * profile.alpha_blue * profile.labor_blue
+    degenerate = leverage == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate cells, replaced below
+        interior = numerator / leverage
+    all_white = interior <= 0.0
+    v_star = np.where(
+        degenerate,
+        vaccines * profile.labor_blue / profile.total_labor,
+        np.where(all_white, 0.0, np.minimum(interior, vaccines)),
+    )
+    code = np.where(
+        degenerate,
+        _DEGENERATE,
+        np.where(all_white, _ALL_WHITE, np.where(interior >= vaccines, _ALL_BLUE, _INTERIOR)),
+    ).astype(np.int8)
+    return v_star, code
 
 
 def unemployment(

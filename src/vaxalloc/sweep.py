@@ -6,17 +6,19 @@ fixed white-collar risk, full (beta_w, beta_b) allocation matrices at a
 fixed stock level, and threshold summaries counting the above-diagonal
 scenarios (beta_b > beta_w) where the blue-collar share exceeds a cutoff.
 
-Cells are independent pure computations; ``sweep_matrix`` can evaluate them
-in a process pool and the result is identical regardless of worker count or
-evaluation order.
+Every lattice is solved in one call to the array kernel
+``model.solve_arrays``, which matches the scalar ``solve`` bit for bit; the
+per-cell ``AllocationResult`` objects are only built when ``SweepGrid.cells``
+is read.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from functools import partial
+
+import numpy as np
 
 from .model import (
     AllocationResult,
@@ -24,7 +26,12 @@ from .model import (
     ModelInputError,
     Scenario,
     solve,
+    solve_arrays,
 )
+
+# Largest lattice accepted per axis: a 0.0005 step over [0, 1].  A full
+# sweep holds a few arrays of MAX_GRID_POINTS**2 doubles (~32 MB each).
+MAX_GRID_POINTS = 2001
 
 
 @dataclass(frozen=True)
@@ -43,27 +50,80 @@ class GridSpec:
             )
         if not self.step > 0.0:
             raise ModelInputError(f"step must be positive, got {self.step!r}")
-        if len(self.values()) < 2:
+        if self.points > MAX_GRID_POINTS:
+            raise ModelInputError(
+                f"step {self.step!r} gives more than {MAX_GRID_POINTS} points per axis"
+            )
+        if self.points < 2:
             raise ModelInputError("grid needs at least two points per axis")
 
+    @property
+    def points(self) -> int:
+        """Lattice size per axis, worked out without building the lattice.
+
+        Saturates at MAX_GRID_POINTS + 1, so a tiny step cannot overflow.
+        """
+        intervals = min((self.beta_max - self.beta_min) / self.step + 1e-9, MAX_GRID_POINTS)
+        return int(math.floor(intervals)) + 1
+
     def values(self) -> tuple[float, ...]:
-        count = int(math.floor((self.beta_max - self.beta_min) / self.step + 1e-9)) + 1
         # Rounding keeps lattice values like 0.15 exact instead of 0.15000000000000002.
-        return tuple(round(self.beta_min + i * self.step, 12) for i in range(count))
+        return tuple(round(self.beta_min + i * self.step, 12) for i in range(self.points))
 
 
-@dataclass(frozen=True)
+class _Cells(Mapping):
+    """Read-only (beta_w, beta_b) -> AllocationResult view of a SweepGrid.
+
+    Each access runs the scalar ``solve`` on that cell, so callers that
+    need the full accounting (surpluses, objective) get it without the
+    sweep storing one object per cell.
+    """
+
+    def __init__(self, sweep: SweepGrid) -> None:
+        self._sweep = sweep
+        self._white = frozenset(sweep.beta_white)
+        self._blue = frozenset(sweep.beta_blue)
+
+    def __getitem__(self, key: tuple[float, float]) -> AllocationResult:
+        if not (isinstance(key, tuple) and len(key) == 2
+                and key[0] in self._white and key[1] in self._blue):
+            raise KeyError(key)
+        sweep = self._sweep
+        return solve(sweep.profile, Scenario(key[0], key[1], sweep.vaccines))
+
+    def __iter__(self) -> Iterator[tuple[float, float]]:
+        return ((w, b) for w in self._sweep.beta_white for b in self._sweep.beta_blue)
+
+    def __len__(self) -> int:
+        return len(self._sweep.beta_white) * len(self._sweep.beta_blue)
+
+
+@dataclass(frozen=True, eq=False)
 class SweepGrid:
-    """Solved allocations on the full (beta_w, beta_b) lattice."""
+    """Solved allocations on a (beta_w, beta_b) lattice at one stock level.
+
+    Row i of the arrays is ``beta_white[i]`` and column j is ``beta_blue[j]``;
+    ``clamp[i, j]`` indexes ``model.CLAMPS``.
+    """
 
     spec: GridSpec
     v_over_l: float
     vaccines: float
-    cells: dict[tuple[float, float], AllocationResult]
+    profile: EconomyProfile
+    beta_white: tuple[float, ...]
+    beta_blue: tuple[float, ...]
+    v_blue_star: np.ndarray
+    clamp: np.ndarray
+
+    @property
+    def cells(self) -> Mapping[tuple[float, float], AllocationResult]:
+        """Full per-cell results, solved lazily on access."""
+        return _Cells(self)
 
     def ratio(self, beta_white: float, beta_blue: float) -> float:
         """Blue-collar dose share v_blue_star / V for one lattice cell."""
-        return self.cells[(beta_white, beta_blue)].v_blue_star / self.vaccines
+        i, j = self.beta_white.index(beta_white), self.beta_blue.index(beta_blue)
+        return float(self.v_blue_star[i, j]) / self.vaccines
 
 
 @dataclass(frozen=True)
@@ -75,10 +135,39 @@ class ThresholdSummary:
     cells_considered: int
 
 
-def _coverage(profile: EconomyProfile, v_over_l: float) -> float:
-    if not (0.0 < v_over_l < 1.0):
-        raise ModelInputError(f"v_over_l must lie in (0, 1), got {v_over_l!r}")
-    return v_over_l * profile.total_labor
+def _solve_lattice(
+    profile: EconomyProfile,
+    beta_white: tuple[float, ...],
+    v_over_l: float,
+    grid: GridSpec,
+) -> SweepGrid:
+    beta_blue = grid.values()
+    # Building the first cell's scenario validates the coverage and the first
+    # white-collar risk; the lattice itself was validated by GridSpec.
+    vaccines = Scenario.with_coverage(profile, beta_white[0], beta_blue[0], v_over_l).vaccines
+    v_blue_star, clamp = solve_arrays(
+        profile, np.asarray(beta_white)[:, None], np.asarray(beta_blue)[None, :], vaccines
+    )
+    return SweepGrid(
+        spec=grid,
+        v_over_l=v_over_l,
+        vaccines=vaccines,
+        profile=profile,
+        beta_white=beta_white,
+        beta_blue=beta_blue,
+        v_blue_star=v_blue_star,
+        clamp=clamp,
+    )
+
+
+def frontier_sweep(
+    profile: EconomyProfile,
+    beta_white: float,
+    v_over_l: float,
+    grid: GridSpec = GridSpec(),
+) -> SweepGrid:
+    """One-row sweep: every lattice blue-collar risk at a fixed white-collar risk."""
+    return _solve_lattice(profile, (beta_white,), v_over_l, grid)
 
 
 def frontier_curve(
@@ -91,19 +180,8 @@ def frontier_curve(
 
     Returns one (beta_blue, v_blue_star / V) point per lattice value.
     """
-    vaccines = _coverage(profile, v_over_l)
-    curve = []
-    for beta_blue in grid.values():
-        result = solve(profile, Scenario(beta_white, beta_blue, vaccines))
-        curve.append((beta_blue, result.v_blue_star / vaccines))
-    return curve
-
-
-def _solve_cell(
-    profile: EconomyProfile, vaccines: float, betas: tuple[float, float]
-) -> AllocationResult:
-    beta_white, beta_blue = betas
-    return solve(profile, Scenario(beta_white, beta_blue, vaccines))
+    row = frontier_sweep(profile, beta_white, v_over_l, grid)
+    return list(zip(row.beta_blue, (row.v_blue_star[0] / row.vaccines).tolist()))
 
 
 def sweep_matrix(
@@ -114,25 +192,10 @@ def sweep_matrix(
 ) -> SweepGrid:
     """Solve every lattice cell at a fixed stock level.
 
-    With ``workers > 1`` cells are evaluated in a process pool; results are
-    identical to the serial path because each cell is pure scalar math.
+    ``workers`` is accepted for compatibility and ignored: the whole lattice
+    is one array computation.
     """
-    vaccines = _coverage(profile, v_over_l)
-    lattice = grid.values()
-    pairs = [(beta_white, beta_blue) for beta_white in lattice for beta_blue in lattice]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(partial(_solve_cell, profile, vaccines), pairs, chunksize=64)
-            )
-    else:
-        results = [_solve_cell(profile, vaccines, betas) for betas in pairs]
-    return SweepGrid(
-        spec=grid,
-        v_over_l=v_over_l,
-        vaccines=vaccines,
-        cells=dict(zip(pairs, results)),
-    )
+    return _solve_lattice(profile, grid.values(), v_over_l, grid)
 
 
 def threshold_share(sweep: SweepGrid, threshold: float) -> ThresholdSummary:
@@ -143,15 +206,12 @@ def threshold_share(sweep: SweepGrid, threshold: float) -> ThresholdSummary:
     """
     if not (0.0 < threshold < 1.0):
         raise ModelInputError(f"threshold must lie in (0, 1), got {threshold!r}")
-    considered = 0
-    exceeding = 0
-    for (beta_white, beta_blue), result in sweep.cells.items():
-        if beta_blue > beta_white:
-            considered += 1
-            if result.v_blue_star / sweep.vaccines > threshold:
-                exceeding += 1
+    riskier_blue = np.asarray(sweep.beta_blue)[None, :] > np.asarray(sweep.beta_white)[:, None]
+    considered = int(np.count_nonzero(riskier_blue))
     if considered == 0:
         raise ModelInputError("no cells with beta_blue > beta_white; grid too small")
+    above = sweep.v_blue_star / sweep.vaccines > threshold
+    exceeding = int(np.count_nonzero(riskier_blue & above))
     return ThresholdSummary(
         threshold=threshold,
         share_exceeding=exceeding / considered,

@@ -236,6 +236,20 @@ def test_usage_errors_exit_one(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags", [
+    ["--v-over-l", "0"],
+    ["--beta-w", "1.5"],
+    ["--beta-w", "nan"],
+    ["--beta-step", "1e-9"],
+])
+def test_frontier_bad_input_exits_one_with_one_line(flags, capsys):
+    code, out, err = run_cli(["frontier", "--country", "XA", *flags], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("vaxalloc: error: ")
+    assert err.count("\n") == 1
+
+
 def test_data_errors_exit_two(tmp_path, capsys):
     broken = tmp_path / "broken.csv"
     broken.write_text("country,employment,telework_share\nSE,oops,0.45\n")

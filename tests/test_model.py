@@ -8,17 +8,22 @@ from vaxalloc import (
     Clamp,
     DegenerateModelError,
     EconomyProfile,
+    GridSpec,
     ModelInputError,
     Scenario,
     brute_force_optimum,
+    builtin_dataset_path,
+    calibrate,
     crossing_point,
     effective_labor,
     interior_optimum,
+    load_countries,
     objective,
     partials,
     solve,
     unemployment,
 )
+from vaxalloc.model import CLAMPS, solve_arrays
 from vaxalloc.oracle import OracleConfig
 
 
@@ -249,6 +254,27 @@ class TestSolve:
                 for bw in betas
             ]
             assert all(b - a <= slack for a, b in zip(stars, stars[1:]))
+
+
+class TestSolveArrays:
+    @pytest.mark.parametrize("gamma", [0.35, 0.8, 1.0])
+    def test_matches_scalar_solve_bit_for_bit(self, gamma):
+        lattice = GridSpec(0.0, 1.0, 0.01).values()
+        axis = np.array(lattice)
+        for record in load_countries(builtin_dataset_path()):
+            profile = calibrate(record, gamma)
+            for v_over_l in (0.01, 0.2, 0.6, 0.95):
+                vaccines = v_over_l * profile.total_labor
+                v_star, code = solve_arrays(profile, axis[:, None], axis[None, :], vaccines)
+                expected = [
+                    solve(profile, Scenario(beta_w, beta_b, vaccines))
+                    for beta_w in lattice
+                    for beta_b in lattice
+                ]
+                assert v_star.ravel().tolist() == [r.v_blue_star for r in expected]
+                assert [CLAMPS[c] for c in code.ravel().tolist()] == [r.clamp for r in expected]
+                if gamma == 1.0:
+                    assert CLAMPS[code[0, 0]] is Clamp.DEGENERATE
 
 
 class TestUnemployment:

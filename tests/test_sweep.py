@@ -18,6 +18,8 @@ from vaxalloc import (
     sweep_matrix,
     threshold_share,
 )
+from vaxalloc.model import CLAMPS
+from vaxalloc.sweep import MAX_GRID_POINTS
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +48,16 @@ class TestGridSpec:
             GridSpec(0.05, 0.95, 2.0)  # single point
         with pytest.raises(ModelInputError):
             GridSpec(-0.1, 0.95, 0.05)
+
+    def test_rejects_lattice_beyond_cap_without_building_it(self, monkeypatch):
+        def no_lattice(self):
+            raise AssertionError("lattice built before its size was checked")
+
+        monkeypatch.setattr(GridSpec, "values", no_lattice)
+        assert GridSpec(0.0, 1.0, 0.0005).points == MAX_GRID_POINTS == 2001
+        for step in (0.00049, 1e-9, 5e-324):
+            with pytest.raises(ModelInputError, match="more than 2001 points"):
+                GridSpec(0.0, 1.0, step)
 
 
 class TestFrontierCurve:
@@ -184,7 +196,10 @@ class TestThresholdShare:
         profile = calibrate(countries["XA"], gamma=0.8)
         cell = solve(profile, Scenario(0.5, 0.3, 10.0))
         lonely = SweepGrid(
-            spec=GridSpec(), v_over_l=0.2, vaccines=10.0, cells={(0.5, 0.3): cell}
+            spec=GridSpec(), v_over_l=0.2, vaccines=10.0, profile=profile,
+            beta_white=(0.5,), beta_blue=(0.3,),
+            v_blue_star=np.array([[cell.v_blue_star]]),
+            clamp=np.array([[CLAMPS.index(cell.clamp)]]),
         )
         with pytest.raises(ModelInputError, match="grid too small"):
             threshold_share(lonely, 0.66)
