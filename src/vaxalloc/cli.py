@@ -16,8 +16,11 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .calibration import (
     DEFAULT_GAMMA,
@@ -167,175 +170,186 @@ def _select_records(args):
     return records, {"dataset": str(path), "dataset_origin": origin}
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _grid_metadata(grid: GridSpec) -> dict:
     return {"beta_min": grid.beta_min, "beta_max": grid.beta_max, "step": grid.step}
 
 
-def _count_degenerate(rows) -> int:
-    return sum(1 for row in rows if row.get("clamp") == Clamp.DEGENERATE.value)
+@contextmanager
+def _opened(path):
+    """Text handle on ``path``, or stdout for '-'.
+
+    A new or regular file is written under a temporary sibling name and
+    renamed into place once complete, so a failed run leaves the target
+    absent or as it was.  A symlink, device or pipe is written in place.
+    """
+    if path == "-":
+        yield sys.stdout
+        return
+    target = Path(path)
+    if target.is_symlink() or (target.exists() and not target.is_file()):
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        return
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(temp, target)
+    except BaseException as exc:
+        temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(temp):  # name the file asked for
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
 
 
-def _emit(handle, fmt: str, command: str, fieldnames, rows, metadata) -> None:
+def _write_table(path, fmt: str, command: str, fields, rows, metadata) -> None:
+    """Write rows of values in ``fields`` order as CSV or as one JSON document."""
+    with _opened(path) as handle:
+        if fmt == "csv":
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(fields)
+            writer.writerows(rows)
+        else:
+            rows = [dict(zip(fields, row)) for row in rows]
+            document = {"command": command, "metadata": metadata, "rows": rows}
+            handle.write(json.dumps(document, indent=2))
+            handle.write("\n")
+
+
+def _write_lattice_csv(handle, country: str, sweep: SweepGrid) -> None:
+    # No field needs CSV quoting: country codes are letters, clamp labels are
+    # fixed words and a float repr has no comma.
+    prefix = f"{country},{sweep.v_over_l!r},"
+    blue = [f"{beta_b!r}," for beta_b in sweep.beta_blue]
+    for i, beta_w in enumerate(sweep.beta_white):
+        head = f"{prefix}{beta_w!r},"
+        ratios = (sweep.v_blue_star[i] / sweep.vaccines).tolist()
+        handle.write("".join([f"{head}{b}{ratio!r},{CLAMP_NAMES[code]}\n"
+                              for b, ratio, code in zip(blue, ratios, sweep.clamp[i].tolist())]))
+
+
+def _write_lattices(path, fmt: str, command: str, lattices, metadata) -> None:
+    """Write ``(country, SweepGrid)`` pairs in the sweep schema.
+
+    CSV is streamed lattice by lattice, so memory holds one lattice whatever
+    the row count.  JSON holds every row: the metadata ahead of them counts
+    ``degenerate_rows`` (appended, or filled in where ``metadata`` has it).
+    """
     if fmt == "csv":
-        writer = csv.DictWriter(handle, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({key: _fmt(value) for key, value in row.items()})
-    else:
-        document = {"command": command, "metadata": metadata, "rows": rows}
-        handle.write(json.dumps(document, indent=2))
-        handle.write("\n")
+        with _opened(path) as handle:
+            handle.write(",".join(SWEEP_FIELDS) + "\n")
+            for country, sweep in lattices:
+                _write_lattice_csv(handle, country, sweep)
+        return
+    lattices = list(lattices)
+    degenerate = sum(int(np.count_nonzero(sweep.clamp == CLAMPS.index(Clamp.DEGENERATE)))
+                     for _, sweep in lattices)
+    rows = ((country, sweep.v_over_l, beta_w, beta_b, ratio, CLAMP_NAMES[code])
+            for country, sweep in lattices
+            for beta_w, ratios, codes in zip(sweep.beta_white,
+                                             (sweep.v_blue_star / sweep.vaccines).tolist(),
+                                             sweep.clamp.tolist())
+            for beta_b, ratio, code in zip(sweep.beta_blue, ratios, codes))
+    _write_table(path, fmt, command, SWEEP_FIELDS, rows,
+                 {**metadata, "degenerate_rows": degenerate})
 
 
-def _write(args, command: str, fieldnames, rows, metadata) -> None:
-    if args.output == "-":
-        _emit(sys.stdout, args.format, command, fieldnames, rows, metadata)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            _emit(handle, args.format, command, fieldnames, rows, metadata)
+def _profiles(records, gamma: float) -> list:
+    return [(record, calibrate(record, gamma)) for record in records]
+
+
+def _check_lattices(profiles, v_over_l, beta_white, grid: GridSpec) -> None:
+    # Every lattice's inputs, checked in solving order before the first row is written.
+    for _, profile in profiles:
+        for v in v_over_l:
+            for beta_w in beta_white:
+                Scenario.with_coverage(profile, beta_w, grid.beta_min, v)
 
 
 def _cmd_calibrate(args, records, provenance) -> int:
-    rows = []
-    for record in records:
-        profile = calibrate(record, args.gamma)
-        rows.append({
-            "country": record.country_code,
-            "employment": record.employment_total,
-            "telework_share": record.telework_share,
-            "labor_white": profile.labor_white,
-            "labor_blue": profile.labor_blue,
-            "alpha_white": profile.alpha_white,
-            "alpha_blue": profile.alpha_blue,
-            "gamma": profile.gamma,
-        })
+    rows = [(record.country_code, record.employment_total, record.telework_share,
+             profile.labor_white, profile.labor_blue, profile.alpha_white, profile.alpha_blue,
+             profile.gamma) for record, profile in _profiles(records, args.gamma)]
     metadata = {"gamma": args.gamma, **provenance}
-    _write(args, "calibrate", CALIBRATE_FIELDS, rows, metadata)
+    _write_table(args.output, args.format, "calibrate", CALIBRATE_FIELDS, rows, metadata)
     return EXIT_OK
 
 
 def _cmd_solve(args, records, provenance) -> int:
     rows = []
-    for record in records:
-        profile = calibrate(record, args.gamma)
+    for record, profile in _profiles(records, args.gamma):
         for v_over_l in args.v_over_l:
             scenario = Scenario.with_coverage(profile, args.beta_w, args.beta_b, v_over_l)
             result = solve(profile, scenario)
-            rows.append({
-                "country": record.country_code,
-                "beta_w": args.beta_w,
-                "beta_b": args.beta_b,
-                "v_over_l": v_over_l,
-                "v_blue_star": result.v_blue_star,
-                "v_ratio": result.v_blue_star / scenario.vaccines,
-                "clamp": result.clamp.value,
-                "objective": result.objective,
-                "surplus_blue": result.surplus_blue,
-                "surplus_white": result.surplus_white,
-            })
+            rows.append((
+                record.country_code, args.beta_w, args.beta_b, v_over_l, result.v_blue_star,
+                result.v_blue_star / scenario.vaccines, result.clamp.value, result.objective,
+                result.surplus_blue, result.surplus_white,
+            ))
     metadata = {
         "gamma": args.gamma,
         "beta_w": args.beta_w,
         "beta_b": args.beta_b,
         "v_over_l": list(args.v_over_l),
-        "degenerate_rows": _count_degenerate(rows),
+        "degenerate_rows": sum(row[6] == Clamp.DEGENERATE.value for row in rows),
         **provenance,
     }
-    _write(args, "solve", SOLVE_FIELDS, rows, metadata)
+    _write_table(args.output, args.format, "solve", SOLVE_FIELDS, rows, metadata)
     return EXIT_OK
 
 
 def _cmd_frontier(args, records, provenance) -> int:
     grid = GridSpec(args.beta_min, args.beta_max, args.beta_step)
-    rows = []
-    for record in records:
-        profile = calibrate(record, args.gamma)
-        for v_over_l in args.v_over_l:
-            for beta_w in args.beta_w:
-                curve = frontier_sweep(profile, beta_w, v_over_l, grid)
-                rows.extend(_sweep_rows(record.country_code, curve))
+    profiles = _profiles(records, args.gamma)
+    _check_lattices(profiles, args.v_over_l, args.beta_w, grid)
+    lattices = ((record.country_code, frontier_sweep(profile, beta_w, v_over_l, grid))
+                for record, profile in profiles
+                for v_over_l in args.v_over_l for beta_w in args.beta_w)
     metadata = {
         "gamma": args.gamma,
         "beta_w": list(args.beta_w),
         "v_over_l": list(args.v_over_l),
         "grid": _grid_metadata(grid),
-        "degenerate_rows": _count_degenerate(rows),
+        "degenerate_rows": None,  # filled in by _write_lattices
         **provenance,
     }
-    _write(args, "frontier", SWEEP_FIELDS, rows, metadata)
+    _write_lattices(args.output, args.format, "frontier", lattices, metadata)
     return EXIT_OK
-
-
-def _sweep_rows(country: str, sweep: SweepGrid) -> list[dict]:
-    ratios = (sweep.v_blue_star / sweep.vaccines).tolist()
-    rows = []
-    for beta_w, ratio_row, clamp_row in zip(sweep.beta_white, ratios, sweep.clamp.tolist()):
-        for beta_b, ratio, code in zip(sweep.beta_blue, ratio_row, clamp_row):
-            rows.append({
-                "country": country,
-                "v_over_l": sweep.v_over_l,
-                "beta_w": beta_w,
-                "beta_b": beta_b,
-                "v_ratio": ratio,
-                "clamp": CLAMP_NAMES[code],
-            })
-    return rows
 
 
 def _cmd_sweep(args, records, provenance) -> int:
     grid = GridSpec(args.beta_min, args.beta_max, args.beta_step)
-    base_metadata = {
+    profiles = _profiles(records, args.gamma)
+    _check_lattices(profiles, args.v_over_l, (grid.beta_min,), grid)
+    metadata = {
         "gamma": args.gamma,
         "v_over_l": list(args.v_over_l),
         "grid": _grid_metadata(grid),
         **provenance,
     }
-    if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        extension = "csv" if args.format == "csv" else "json"
-        for record in records:
-            profile = calibrate(record, args.gamma)
-            for v_over_l in args.v_over_l:
-                result = sweep_matrix(profile, v_over_l, grid)
-                rows = _sweep_rows(record.country_code, result)
-                metadata = {**base_metadata, "v_over_l": v_over_l,
-                            "degenerate_rows": _count_degenerate(rows)}
-                name = f"sweep_{record.country_code}_{_fmt(v_over_l)}.{extension}"
-                with open(out_dir / name, "w", encoding="utf-8", newline="") as handle:
-                    _emit(handle, args.format, "sweep", SWEEP_FIELDS, rows, metadata)
+    if args.out_dir is None:
+        lattices = ((record.country_code, sweep_matrix(profile, v_over_l, grid))
+                    for record, profile in profiles for v_over_l in args.v_over_l)
+        _write_lattices(args.output, args.format, "sweep", lattices, metadata)
         return EXIT_OK
-
-    rows = []
-    for record in records:
-        profile = calibrate(record, args.gamma)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for record, profile in profiles:
         for v_over_l in args.v_over_l:
-            result = sweep_matrix(profile, v_over_l, grid)
-            rows.extend(_sweep_rows(record.country_code, result))
-    metadata = {**base_metadata, "degenerate_rows": _count_degenerate(rows)}
-    _write(args, "sweep", SWEEP_FIELDS, rows, metadata)
+            lattice = (record.country_code, sweep_matrix(profile, v_over_l, grid))
+            _write_lattices(out_dir / f"sweep_{record.country_code}_{v_over_l!r}.{args.format}",
+                            args.format, "sweep", [lattice], {**metadata, "v_over_l": v_over_l})
     return EXIT_OK
 
 
 def _cmd_summarize(args, records, provenance) -> int:
     grid = GridSpec(args.beta_min, args.beta_max, args.beta_step)
     rows = []
-    for record in records:
-        profile = calibrate(record, args.gamma)
+    for record, profile in _profiles(records, args.gamma):
         for v_over_l in args.v_over_l:
             summary = threshold_share(sweep_matrix(profile, v_over_l, grid), args.threshold)
-            rows.append({
-                "country": record.country_code,
-                "v_over_l": v_over_l,
-                "threshold": summary.threshold,
-                "share_exceeding": summary.share_exceeding,
-            })
+            rows.append((record.country_code, v_over_l, summary.threshold,
+                         summary.share_exceeding))
     metadata = {
         "gamma": args.gamma,
         "v_over_l": list(args.v_over_l),
@@ -343,30 +357,22 @@ def _cmd_summarize(args, records, provenance) -> int:
         "grid": _grid_metadata(grid),
         **provenance,
     }
-    _write(args, "summarize", SUMMARY_FIELDS, rows, metadata)
+    _write_table(args.output, args.format, "summarize", SUMMARY_FIELDS, rows, metadata)
     return EXIT_OK
 
 
 def _cmd_audit(args, records, provenance) -> int:
     config = OracleConfig(grid_points=args.grid_points, refine=not args.no_refine)
     rows = []
-    for record in records:
-        profile = calibrate(record, args.gamma)
+    for record, profile in _profiles(records, args.gamma):
         for v_over_l in args.v_over_l:
             scenario = Scenario.with_coverage(profile, args.beta_w, args.beta_b, v_over_l)
             result = solve(profile, scenario)
             oracle_v, oracle_objective = brute_force_optimum(profile, scenario, config)
-            rows.append({
-                "country": record.country_code,
-                "beta_w": args.beta_w,
-                "beta_b": args.beta_b,
-                "v_over_l": v_over_l,
-                "v_blue_star": result.v_blue_star,
-                "oracle_v_blue": oracle_v,
-                "objective": result.objective,
-                "oracle_objective": oracle_objective,
-                "gap": result.objective - oracle_objective,
-            })
+            rows.append((
+                record.country_code, args.beta_w, args.beta_b, v_over_l, result.v_blue_star,
+                oracle_v, result.objective, oracle_objective, result.objective - oracle_objective,
+            ))
     metadata = {
         "gamma": args.gamma,
         "beta_w": args.beta_w,
@@ -375,7 +381,7 @@ def _cmd_audit(args, records, provenance) -> int:
         "oracle": {"grid_points": config.grid_points, "refine": config.refine},
         **provenance,
     }
-    _write(args, "audit", AUDIT_FIELDS, rows, metadata)
+    _write_table(args.output, args.format, "audit", AUDIT_FIELDS, rows, metadata)
     return EXIT_OK
 
 
@@ -395,16 +401,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         records, provenance = _select_records(args)
         return _HANDLERS[args.command](args, records, provenance)
-    except UsageError as exc:
+    except (UsageError, ModelInputError) as exc:
         print(f"vaxalloc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ModelInputError as exc:
-        print(f"vaxalloc: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataFormatError as exc:
-        print(f"vaxalloc: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"vaxalloc: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -205,6 +205,12 @@ def effective_labor(
     """
     _check_pair(profile, scenario)
     _check_v_blue(scenario, v_blue)
+    return _effective_labor(profile, scenario, v_blue)
+
+
+def _effective_labor(
+    profile: EconomyProfile, scenario: Scenario, v_blue: float
+) -> tuple[float, float]:
     eff_blue = (1.0 - scenario.beta_blue) * profile.labor_blue + scenario.beta_blue * v_blue
     eff_white = (1.0 - scenario.beta_white) * profile.gamma * profile.labor_white + (
         _white_dose_value(profile, scenario) * (scenario.vaccines - v_blue)
@@ -229,6 +235,10 @@ def interior_optimum(profile: EconomyProfile, scenario: Scenario) -> float:
     move either labor pool (beta_b = beta_w = 0 with gamma = 1).
     """
     _check_pair(profile, scenario)
+    return _interior_optimum(profile, scenario)
+
+
+def _interior_optimum(profile: EconomyProfile, scenario: Scenario) -> float:
     leverage = _dose_leverage(profile, scenario)
     if leverage == 0.0:
         raise DegenerateModelError(
@@ -251,10 +261,11 @@ def solve(profile: EconomyProfile, scenario: Scenario) -> AllocationResult:
     degenerate no-leverage case every allocation is optimal and the labor
     split L_b / L is used so downstream sweeps stay total.
     """
+    # The one validation: the unchecked helpers below only see v_star in [0, V].
     _check_pair(profile, scenario)
     vaccines = scenario.vaccines
     try:
-        interior = interior_optimum(profile, scenario)
+        interior = _interior_optimum(profile, scenario)
     except DegenerateModelError:
         interior = math.nan
         clamp = Clamp.DEGENERATE
@@ -267,7 +278,7 @@ def solve(profile: EconomyProfile, scenario: Scenario) -> AllocationResult:
         else:
             clamp, v_star = Clamp.INTERIOR, interior
 
-    eff_blue, eff_white = effective_labor(profile, scenario, v_star)
+    eff_blue, eff_white = _effective_labor(profile, scenario, v_star)
     supply_blue = profile.alpha_blue * eff_blue
     supply_white = profile.alpha_white * eff_white
     surplus_blue, surplus_white = _surpluses(profile, eff_blue, eff_white)

@@ -19,6 +19,9 @@ from .model import EconomyProfile, ModelInputError, Scenario, _check_pair
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Largest search grid accepted: ten times the default, a few 8 MB arrays.
+MAX_ORACLE_POINTS = 1_000_001
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -28,6 +31,10 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.grid_points < 3:
             raise ModelInputError(f"grid_points must be >= 3, got {self.grid_points!r}")
+        if self.grid_points > MAX_ORACLE_POINTS:
+            raise ModelInputError(
+                f"grid_points must be <= {MAX_ORACLE_POINTS}, got {self.grid_points!r}"
+            )
 
     def step(self, vaccines: float) -> float:
         """Spacing of the uniform search grid over [0, vaccines]."""

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from vaxalloc import (
     sweep_matrix,
     threshold_share,
 )
+from vaxalloc import cli, oracle
 from vaxalloc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 
@@ -264,3 +266,75 @@ def test_data_errors_exit_two(tmp_path, capsys):
     empty.write_text("country,employment,telework_share\n")
     code, _, _ = run_cli(["calibrate", "--input", str(empty)], capsys)
     assert code == EXIT_DATA
+
+
+def _fail_after_one_row(monkeypatch):
+    # Write part of the first lattice, then fail the way a full disk would.
+    def write_then_fail(handle, country, sweep):
+        handle.write(f"{country},partial\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_lattice_csv", write_then_fail)
+
+
+def test_failed_output_leaves_target_absent_or_unchanged(tmp_path, capsys, monkeypatch):
+    _fail_after_one_row(monkeypatch)
+    fresh = tmp_path / "fresh.csv"
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"old,bytes\n")
+    out_dir = tmp_path / "matrices"
+    for target in (["--output", str(fresh)], ["--output", str(kept)],
+                   ["--out-dir", str(out_dir)]):
+        code, out, err = run_cli(["sweep", "--country", "XA", *target], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == "vaxalloc: data error: [Errno 28] No space left on device\n"
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"old,bytes\n"
+    assert list(out_dir.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "matrices"]
+
+
+def test_audit_rejects_oversized_oracle_grid_before_allocating(capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("oracle grid allocated")
+
+    monkeypatch.setattr(oracle.np, "linspace", no_grid)
+    code, out, err = run_cli(
+        ["audit", "--country", "XA", "--beta-w", "0.1", "--beta-b", "0.6",
+         "--grid-points", "1000000000000"],
+        capsys,
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == ("vaxalloc: error: grid_points must be <= 1000001, "
+                   "got 1000000000000\n")
+
+
+def test_csv_sweep_memory_does_not_grow_with_rows(tmp_path, capsys):
+    # 501 x 501 = 251,001 rows; holding them all as row dicts peaked near 79 MB.
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(
+            ["sweep", "--country", "XA", "--v-over-l", "0.4", "--beta-min", "0",
+             "--beta-max", "1", "--beta-step", "0.002", "--output", str(tmp_path / "s.csv")],
+            capsys,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    with (tmp_path / "s.csv").open() as handle:
+        assert sum(1 for _ in handle) == 1 + 501 * 501
+    assert peak < 20 * 2**20
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
+    real = tmp_path / "real.csv"
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    code, _, _ = run_cli(["calibrate", "--country", "XA", "--output", str(link)], capsys)
+    assert code == EXIT_OK
+    assert link.is_symlink()
+    assert real.read_text().startswith("country,employment,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]

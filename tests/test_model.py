@@ -23,6 +23,7 @@ from vaxalloc import (
     solve,
     unemployment,
 )
+from vaxalloc import model
 from vaxalloc.model import CLAMPS, solve_arrays
 from vaxalloc.oracle import OracleConfig
 
@@ -57,6 +58,20 @@ class TestValidation:
         for bad in (0.0, 1.0, 1.3):
             with pytest.raises(ModelInputError):
                 Scenario.with_coverage(example_profile, 0.1, 0.5, bad)
+
+    def test_solve_checks_the_pair_once_and_public_helpers_still_check(
+        self, example_profile, monkeypatch
+    ):
+        calls = []
+        check = model._check_pair
+        monkeypatch.setattr(model, "_check_pair", lambda *pair: calls.append(pair) or check(*pair))
+        solve(example_profile, Scenario(0.1, 0.5, 20.0))
+        assert len(calls) == 1
+        too_many = Scenario(0.1, 0.5, 100.0)
+        for public in (interior_optimum, lambda p, s: effective_labor(p, s, 0.0),
+                       lambda p, s: objective(p, s, 0.0)):
+            with pytest.raises(ModelInputError):
+                public(example_profile, too_many)
 
 
 class TestEffectiveLabor:

@@ -11,11 +11,18 @@ from vaxalloc import (
     objective,
     solve,
 )
+from vaxalloc.oracle import MAX_ORACLE_POINTS
 
 
 def test_rejects_tiny_grids():
     with pytest.raises(ModelInputError):
         OracleConfig(grid_points=2)
+
+
+def test_rejects_grids_beyond_the_cap():
+    assert OracleConfig(grid_points=MAX_ORACLE_POINTS).grid_points == MAX_ORACLE_POINTS
+    with pytest.raises(ModelInputError):
+        OracleConfig(grid_points=MAX_ORACLE_POINTS + 1)
 
 
 def test_single_feasible_point_when_stock_is_zero(example_profile):
