@@ -20,8 +20,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .calibration import (
     DEFAULT_GAMMA,
     DataFormatError,
@@ -228,12 +226,32 @@ def _write_lattice_csv(handle, country: str, sweep: SweepGrid) -> None:
                               for b, ratio, code in zip(blue, ratios, sweep.clamp[i].tolist())]))
 
 
-def _write_lattices(path, fmt: str, command: str, lattices, metadata) -> None:
-    """Write ``(country, SweepGrid)`` pairs in the sweep schema.
+def _write_lattice_json(handle, country: str, sweep: SweepGrid, lead: str) -> None:
+    # Each row as json.dumps(document, indent=2) writes it at depth 2, rows
+    # separated by ",\n"; ``lead`` goes before the lattice's first row.
+    # json.dumps escapes the country as the whole-document encoder would; clamp
+    # labels are plain ASCII words and json writes a float as its repr.
+    prefix = (f'    {{\n      "country": {json.dumps(country)},\n'
+              f'      "v_over_l": {sweep.v_over_l!r},\n')
+    blue = [f'      "beta_b": {beta_b!r},\n      "v_ratio": ' for beta_b in sweep.beta_blue]
+    for i, beta_w in enumerate(sweep.beta_white):
+        head = f'{prefix}      "beta_w": {beta_w!r},\n'
+        ratios = (sweep.v_blue_star[i] / sweep.vaccines).tolist()
+        handle.write(lead + ",\n".join([
+            f'{head}{b}{ratio!r},\n      "clamp": "{CLAMP_NAMES[code]}"\n    }}'
+            for b, ratio, code in zip(blue, ratios, sweep.clamp[i].tolist())]))
+        lead = ",\n"
 
-    CSV is streamed lattice by lattice, so memory holds one lattice whatever
-    the row count.  JSON holds every row: the metadata ahead of them counts
-    ``degenerate_rows`` (appended, or filled in where ``metadata`` has it).
+
+def _write_lattices(path, fmt: str, command: str, lattices, metadata) -> None:
+    """Write ``(country, SweepGrid)`` pairs, at least one, in the sweep schema.
+
+    Both formats are streamed one ``beta_white`` row at a time, so memory
+    never holds every row.  CSV solves each lattice as it is written.  JSON
+    solves them all first: the metadata ahead of the rows counts
+    ``degenerate_rows`` (appended, or filled in where ``metadata`` has it),
+    so it holds every lattice's arrays, 9 bytes a cell.  The JSON bytes are
+    those of ``json.dumps(document, indent=2)``.
     """
     if fmt == "csv":
         with _opened(path) as handle:
@@ -242,16 +260,19 @@ def _write_lattices(path, fmt: str, command: str, lattices, metadata) -> None:
                 _write_lattice_csv(handle, country, sweep)
         return
     lattices = list(lattices)
-    degenerate = sum(int(np.count_nonzero(sweep.clamp == CLAMPS.index(Clamp.DEGENERATE)))
+    degenerate = sum(int((sweep.clamp == CLAMPS.index(Clamp.DEGENERATE)).sum())
                      for _, sweep in lattices)
-    rows = ((country, sweep.v_over_l, beta_w, beta_b, ratio, CLAMP_NAMES[code])
-            for country, sweep in lattices
-            for beta_w, ratios, codes in zip(sweep.beta_white,
-                                             (sweep.v_blue_star / sweep.vaccines).tolist(),
-                                             sweep.clamp.tolist())
-            for beta_b, ratio, code in zip(sweep.beta_blue, ratios, codes))
-    _write_table(path, fmt, command, SWEEP_FIELDS, rows,
-                 {**metadata, "degenerate_rows": degenerate})
+    metadata = json.dumps({**metadata, "degenerate_rows": degenerate}, indent=2)
+    # One level deeper in the document; json escapes newlines inside strings.
+    metadata = metadata.replace("\n", "\n  ")
+    with _opened(path) as handle:
+        handle.write(f'{{\n  "command": {json.dumps(command)},\n  "metadata": {metadata},\n'
+                     f'  "rows": [')
+        lead = "\n"
+        for country, sweep in lattices:
+            _write_lattice_json(handle, country, sweep, lead)
+            lead = ",\n"
+        handle.write("\n  ]\n}\n")
 
 
 def _profiles(records, gamma: float) -> list:
@@ -395,10 +416,17 @@ _HANDLERS = {
 }
 
 
+# Built on the first call to main and reused: parsing leaves it unchanged,
+# since every default is immutable, no action appends and errors raise.
+_parser: Optional[_Parser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         records, provenance = _select_records(args)
         return _HANDLERS[args.command](args, records, provenance)
     except (UsageError, ModelInputError) as exc:

@@ -37,9 +37,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ModelInputError(ValueError):
@@ -311,6 +312,8 @@ def solve_arrays(
     bit.  Nothing is validated here: pass risks in [0, 1] and a stock in
     [0, L), as ``GridSpec`` and ``Scenario.with_coverage`` guarantee.
     """
+    import numpy as np
+
     beta_white = np.asarray(beta_white, dtype=float)
     beta_blue = np.asarray(beta_blue, dtype=float)
     white_dose = 1.0 - profile.gamma * (1.0 - beta_white)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import EconomyProfile, ModelInputError, Scenario, _check_pair
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -72,6 +70,8 @@ def brute_force_optimum(
 
     if vaccines == 0.0:
         return 0.0, objective_at(0.0)
+
+    import numpy as np
 
     grid = np.linspace(0.0, vaccines, config.grid_points)
     eff_b = (1.0 - beta_b) * labor_b + beta_b * grid

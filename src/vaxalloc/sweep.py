@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (
     AllocationResult,
@@ -28,6 +27,9 @@ from .model import (
     solve,
     solve_arrays,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest lattice accepted per axis: a 0.0005 step over [0, 1].  A full
 # sweep holds a few arrays of MAX_GRID_POINTS**2 doubles (~32 MB each).
@@ -141,6 +143,8 @@ def _solve_lattice(
     v_over_l: float,
     grid: GridSpec,
 ) -> SweepGrid:
+    import numpy as np
+
     beta_blue = grid.values()
     # Building the first cell's scenario validates the coverage and the first
     # white-collar risk; the lattice itself was validated by GridSpec.
@@ -206,6 +210,8 @@ def threshold_share(sweep: SweepGrid, threshold: float) -> ThresholdSummary:
     """
     if not (0.0 < threshold < 1.0):
         raise ModelInputError(f"threshold must lie in (0, 1), got {threshold!r}")
+    import numpy as np
+
     riskier_blue = np.asarray(sweep.beta_blue)[None, :] > np.asarray(sweep.beta_white)[:, None]
     considered = int(np.count_nonzero(riskier_blue))
     if considered == 0:

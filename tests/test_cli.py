@@ -2,7 +2,13 @@ import csv
 import io
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +19,13 @@ from vaxalloc import (
     builtin_dataset_path,
     calibrate,
     frontier_curve,
+    frontier_sweep,
     load_countries,
     solve,
     sweep_matrix,
     threshold_share,
 )
-from vaxalloc import cli, oracle
+from vaxalloc import cli
 from vaxalloc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 
@@ -299,7 +306,7 @@ def test_audit_rejects_oversized_oracle_grid_before_allocating(capsys, monkeypat
     def no_grid(*args, **kwargs):
         raise AssertionError("oracle grid allocated")
 
-    monkeypatch.setattr(oracle.np, "linspace", no_grid)
+    monkeypatch.setattr("numpy.linspace", no_grid)
     code, out, err = run_cli(
         ["audit", "--country", "XA", "--beta-w", "0.1", "--beta-b", "0.6",
          "--grid-points", "1000000000000"],
@@ -338,3 +345,140 @@ def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
     assert link.is_symlink()
     assert real.read_text().startswith("country,employment,")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_reused_parser_carries_no_flag_between_calls(tmp_path, monkeypatch):
+    # Every golden case twice, shuffled, in one process, around a usage error
+    # and a --help exit: a flag value leaking from one call into the next
+    # (--country, --out-dir, --threshold, --no-refine, ...) changes some bytes.
+    from test_golden import CASES, GOLDEN, run_case
+
+    build_parser, built = cli.build_parser, []
+
+    def counted_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted_build_parser)
+    monkeypatch.chdir(builtin_dataset_path().parent)
+    status = json.loads((GOLDEN / "status.json").read_text(encoding="utf-8"))
+    order = sorted(CASES) * 2
+    random.Random(4).shuffle(order)
+    for index, case in enumerate(order):
+        out_dir = tmp_path / str(index)
+        out_dir.mkdir()
+        if index % 7 == 3:
+            code, err, outputs = run_case(["solve", "--beta-w", "x", "--beta-b", "0.3"], out_dir)
+            assert (code, outputs) == (EXIT_USAGE, {})
+            assert err == "vaxalloc: error: argument --beta-w: invalid float value: 'x'\n"
+        if index % 7 == 5:
+            with redirect_stdout(io.StringIO()) as help_text, pytest.raises(SystemExit):
+                main(["sweep", "--help"])
+            assert "--out-dir" in help_text.getvalue()
+        code, err, outputs = run_case(CASES[case], out_dir)
+        assert [code, err] == status[case], case
+        expected = {path.name: path.read_bytes() for path in (GOLDEN / case).glob("*")}
+        assert outputs == expected, case
+    assert len(built) == 1
+
+
+def test_calibrate_and_solve_never_import_numpy(tmp_path):
+    script = "\n".join([
+        "import sys",
+        "import vaxalloc, vaxalloc.cli",
+        "from vaxalloc.cli import main",
+        f"out = {str(tmp_path / 'out')!r}",
+        "assert main(['calibrate', '--output', out]) == 0",
+        "assert main(['solve', '--beta-w', '0.05', '--beta-b', '0.3', '--output', out]) == 0",
+        "assert 'numpy' not in sys.modules, 'numpy loaded by calibrate or solve'",
+        "assert main(['sweep', '--country', 'XA', '--output', out]) == 0",
+        "assert 'numpy' in sys.modules, 'numpy not loaded by sweep'",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
+def _json_document_built_whole(command, lattices, metadata):
+    # The document as it was built before JSON output was streamed: every row
+    # a dict, one json.dumps over the whole document.
+    rows = [{"country": country, "v_over_l": sweep.v_over_l, "beta_w": beta_w,
+             "beta_b": beta_b, "v_ratio": sweep.ratio(beta_w, beta_b),
+             "clamp": sweep.cells[beta_w, beta_b].clamp.value}
+            for country, sweep in lattices
+            for beta_w in sweep.beta_white for beta_b in sweep.beta_blue]
+    metadata = {**metadata, "degenerate_rows": sum(row["clamp"] == "Degenerate" for row in rows)}
+    document = {"command": command, "metadata": metadata, "rows": rows}
+    return (json.dumps(document, indent=2) + "\n").encode("utf-8")
+
+
+def test_streamed_json_equals_whole_document_encoding(tmp_path, capsys):
+    dataset = tmp_path / "umlaut.csv"
+    dataset.write_text("country,employment,telework_share\nÄÖ,1000,0.4\n", encoding="utf-8")
+    profile = calibrate(load_countries(dataset)[0], 1.0)
+    provenance = {"dataset": str(dataset), "dataset_origin": "flag"}
+    grid = GridSpec(0.0, 1.0, 0.125)
+    grid_metadata = {"beta_min": 0.0, "beta_max": 1.0, "step": 0.125}
+    common = ["--input", str(dataset), "--gamma", "1.0", "--beta-min", "0", "--beta-max", "1",
+              "--beta-step", "0.125", "--format", "json", "--v-over-l", "0.2,0.6"]
+
+    code, out, _ = run_cli(["sweep", *common], capsys)
+    assert code == EXIT_OK
+    expected = _json_document_built_whole(
+        "sweep", [("ÄÖ", sweep_matrix(profile, v, grid)) for v in (0.2, 0.6)],
+        {"gamma": 1.0, "v_over_l": [0.2, 0.6], "grid": grid_metadata, **provenance})
+    assert out.encode("utf-8") == expected
+    assert '"country": "\\u00c4\\u00d6"' in out
+
+    code, out, _ = run_cli(["frontier", *common, "--beta-w", "0,0.5"], capsys)
+    assert code == EXIT_OK
+    expected = _json_document_built_whole(
+        "frontier", [("ÄÖ", frontier_sweep(profile, w, v, grid))
+                     for v in (0.2, 0.6) for w in (0.0, 0.5)],
+        {"gamma": 1.0, "beta_w": [0.0, 0.5], "v_over_l": [0.2, 0.6], "grid": grid_metadata,
+         "degenerate_rows": None, **provenance})
+    assert out.encode("utf-8") == expected
+    assert json.loads(out)["metadata"]["degenerate_rows"] == 2
+
+
+def test_json_sweep_memory_does_not_grow_with_rows(tmp_path, capsys):
+    # 501 x 501 = 251,001 rows; holding them all as row dicts peaked near 378 MiB.
+    target = tmp_path / "s.json"
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(
+            ["sweep", "--country", "XA", "--v-over-l", "0.4", "--beta-min", "0",
+             "--beta-max", "1", "--beta-step", "0.002", "--format", "json",
+             "--output", str(target)],
+            capsys,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    with target.open() as handle:
+        assert sum(line.startswith('      "clamp": ') for line in handle) == 501 * 501
+    with target.open("rb") as handle:
+        handle.seek(-8, os.SEEK_END)
+        assert handle.read() == b"}\n  ]\n}\n"
+    assert peak < 20 * 2**20
+
+
+def test_failed_json_output_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def write_then_fail(handle, country, sweep, lead):
+        handle.write(f'{lead}    {{"country": "{country}"')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_lattice_json", write_then_fail)
+    target = tmp_path / "s.json"
+    out_dir = tmp_path / "matrices"
+    for flags in (["--output", str(target)], ["--out-dir", str(out_dir)]):
+        code, out, err = run_cli(["sweep", "--country", "XA", "--format", "json", *flags],
+                                 capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == "vaxalloc: data error: [Errno 28] No space left on device\n"
+    assert list(out_dir.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["matrices"]
