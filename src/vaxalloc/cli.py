@@ -6,7 +6,8 @@ scenario per row), ``frontier`` (dose share against blue-collar risk),
 ``audit`` (closed form versus brute-force oracle).  Results are emitted as
 plot-ready long-format CSV tables or as JSON with full provenance metadata.
 
-Exit codes: 0 success, 1 usage or input-validation failure, 2 data error.
+Exit codes: 0 success, 1 usage or input-validation failure, 2 data error,
+141 standard output closed early (as for a tool killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ DATASET_ENV_VAR = "VAXALLOC_DATASET"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 DEFAULT_V_OVER_L = (0.2, 0.4, 0.6)
 DEFAULT_BETA_WHITE = (0.05, 0.25)
@@ -61,6 +63,10 @@ AUDIT_FIELDS = (
 
 class UsageError(Exception):
     pass
+
+
+class _StdoutClosed(Exception):
+    """The reader of standard output went away before it was all written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,7 +187,11 @@ def _opened(path):
     absent or as it was.  A symlink, device or pipe is written in place.
     """
     if path == "-":
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        except BrokenPipeError:
+            raise _StdoutClosed from None
         return
     target = Path(path)
     if target.is_symlink() or (target.exists() and not target.is_file()):
@@ -435,6 +445,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DataFormatError, OSError) as exc:
         print(f"vaxalloc: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except _StdoutClosed:
+        if sys.stdout is sys.__stdout__:
+            # Output still buffered goes to devnull at exit instead of failing
+            # again; an in-process caller's replacement stdout keeps fd 1.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

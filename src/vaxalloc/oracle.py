@@ -6,6 +6,12 @@ objective is piecewise-linear and convex, so grid search plus refinement
 pins the minimizer to machine precision near the kink.  Used by the test
 suite as an independent check of the closed-form solver and exposed through
 the CLI `audit` subcommand.
+
+The grid is evaluated in fixed blocks of `_BLOCK` points through two reused
+buffers, so no temporary is as large as the grid.  Each point gets the same
+IEEE operations on the same operands as a whole-array evaluation, and the
+blocks' first minima are combined with `np.argmin`, so the first minimum
+(or the first NaN) wins exactly as it would over the whole grid.
 """
 
 from __future__ import annotations
@@ -17,8 +23,12 @@ from .model import EconomyProfile, ModelInputError, Scenario, _check_pair
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Largest search grid accepted: ten times the default, a few 8 MB arrays.
+# Largest search grid accepted: ten times the default, one 8 MB grid array.
 MAX_ORACLE_POINTS = 1_000_001
+
+# Points evaluated per block: a 64 KiB buffer, below glibc's 128 KiB mmap
+# threshold, so the buffers come from the heap and not fresh pages.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -74,12 +84,32 @@ def brute_force_optimum(
     import numpy as np
 
     grid = np.linspace(0.0, vaccines, config.grid_points)
-    eff_b = (1.0 - beta_b) * labor_b + beta_b * grid
-    eff_w = (1.0 - beta_w) * gamma * labor_w + dose_value_w * (vaccines - grid)
-    values = np.abs(alpha_b * eff_b - alpha_w * eff_w)
-    index = int(np.argmin(values))  # first minimum: ties go to the smaller v_blue
+    # |alpha_b * (base_b + beta_b*v) - alpha_w * (base_w + dose_value_w*(V - v))| per point,
+    # operation by operation in place; swapping the operands of + or * is exact.
+    base_b = (1.0 - beta_b) * labor_b
+    base_w = (1.0 - beta_w) * gamma * labor_w
+    size = min(_BLOCK, config.grid_points)
+    blue, white = np.empty(size), np.empty(size)
+    firsts, minima = [], []
+    for start in range(0, config.grid_points, _BLOCK):
+        points = grid[start:start + _BLOCK]
+        b, w = blue[:len(points)], white[:len(points)]
+        np.multiply(points, beta_b, out=b)
+        b += base_b
+        b *= alpha_b
+        np.subtract(vaccines, points, out=w)
+        w *= dose_value_w
+        w += base_w
+        w *= alpha_w
+        b -= w
+        np.abs(b, out=b)
+        first = int(np.argmin(b))  # first minimum: ties go to the smaller v_blue
+        firsts.append(start + first)
+        minima.append(b[first])
+    block = int(np.argmin(minima))  # first block holding the grid's first minimum (or NaN)
+    index = firsts[block]
     best_v = float(grid[index])
-    best_value = float(values[index])
+    best_value = float(minima[block])
 
     if config.refine:
         low = float(grid[max(index - 1, 0)])

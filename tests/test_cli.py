@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -26,7 +27,7 @@ from vaxalloc import (
     threshold_share,
 )
 from vaxalloc import cli
-from vaxalloc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from vaxalloc.cli import EXIT_DATA, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
 
 
 def run_cli(args, capsys):
@@ -482,3 +483,65 @@ def test_failed_json_output_leaves_no_file(tmp_path, capsys, monkeypatch):
         assert err == "vaxalloc: data error: [Errno 28] No space left on device\n"
     assert list(out_dir.iterdir()) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["matrices"]
+
+
+def _cli_process(args, **kwargs):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    return subprocess.Popen([sys.executable, "-m", "vaxalloc.cli", *args], env=env, **kwargs)
+
+
+def test_closed_stdout_pipe_exits_141_silently():
+    # The default sweep is about 300 kB, far more than a pipe buffers.
+    proc = _cli_process(["sweep"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"country,v_over_l,beta_w,beta_b,v_ratio,clamp\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == EXIT_PIPE
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
+def test_closed_stdout_in_process_keeps_fd_1(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["calibrate"])
+    monkeypatch.undo()
+    after = os.fstat(1)
+    assert code == EXIT_PIPE
+    assert capsys.readouterr().err == ""
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_closed_output_fifo_is_a_data_error(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # Opened for reading first and without blocking, so the writer's open never waits.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    proc = _cli_process(["sweep", "--output", str(fifo)], stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            try:
+                if os.read(reader, 65536):  # b"" until the writer opens the fifo
+                    break
+            except BlockingIOError:  # opened, nothing written yet
+                pass
+            time.sleep(0.01)
+        else:
+            pytest.fail("no output reached the fifo")
+        os.close(reader)
+        reader = None
+        assert proc.wait(timeout=60) == EXIT_DATA
+        assert proc.stderr.read() == b"vaxalloc: data error: [Errno 32] Broken pipe\n"
+    finally:
+        if reader is not None:
+            os.close(reader)
+        proc.kill()
+        proc.stderr.close()

@@ -1,5 +1,9 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import draw_profile, draw_scenario
 from vaxalloc import (
@@ -11,7 +15,7 @@ from vaxalloc import (
     objective,
     solve,
 )
-from vaxalloc.oracle import MAX_ORACLE_POINTS
+from vaxalloc.oracle import MAX_ORACLE_POINTS, _golden_section
 
 
 def test_rejects_tiny_grids():
@@ -87,3 +91,120 @@ def test_deterministic_for_fixed_inputs(example_profile):
     first = brute_force_optimum(example_profile, scenario)
     second = brute_force_optimum(example_profile, scenario)
     assert first == second
+
+
+def _whole_array_optimum(profile, scenario, config):
+    """brute_force_optimum as it was before blocking: every step one array over the grid."""
+    vaccines = scenario.vaccines
+    beta_b, beta_w = scenario.beta_blue, scenario.beta_white
+    gamma = profile.gamma
+    labor_b, labor_w = profile.labor_blue, profile.labor_white
+    alpha_b, alpha_w = profile.alpha_blue, profile.alpha_white
+    dose_value_w = 1.0 - gamma * (1.0 - beta_w)
+
+    def objective_at(v_blue):
+        eff_b = (1.0 - beta_b) * labor_b + beta_b * v_blue
+        eff_w = (1.0 - beta_w) * gamma * labor_w + dose_value_w * (vaccines - v_blue)
+        return abs(alpha_b * eff_b - alpha_w * eff_w)
+
+    if vaccines == 0.0:
+        return 0.0, objective_at(0.0)
+    grid = np.linspace(0.0, vaccines, config.grid_points)
+    eff_b = (1.0 - beta_b) * labor_b + beta_b * grid
+    eff_w = (1.0 - beta_w) * gamma * labor_w + dose_value_w * (vaccines - grid)
+    values = np.abs(alpha_b * eff_b - alpha_w * eff_w)
+    index = int(np.argmin(values))
+    best_v = float(grid[index])
+    best_value = float(values[index])
+    if config.refine:
+        low = float(grid[max(index - 1, 0)])
+        high = float(grid[min(index + 1, config.grid_points - 1)])
+        refined_v = _golden_section(objective_at, low, high, config.refined_step(vaccines))
+        refined_value = objective_at(refined_v)
+        if refined_value < best_value or (refined_value == best_value and refined_v < best_v):
+            best_v, best_value = refined_v, refined_value
+    return best_v, best_value
+
+
+def _assert_same_as_whole_array(profile, scenario, config):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = brute_force_optimum(profile, scenario, config)
+        want = _whole_array_optimum(profile, scenario, config)
+    for a, b in zip(got, want):
+        assert a == b or (math.isnan(a) and math.isnan(b)), (profile, scenario, config, got, want)
+    return got
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("points", [3, 8191, 8192, 8193, 16385, 100_001, MAX_ORACLE_POINTS])
+def test_blocked_grid_equals_whole_array(points, refine, example_profile):
+    for scenario in (Scenario(0.05, 0.3, 20.0), Scenario(0.17, 0.42, 33.0)):
+        _assert_same_as_whole_array(example_profile, scenario, OracleConfig(points, refine))
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_blocked_grid_equals_whole_array_at_the_ends_and_a_block_edge(refine, example_profile):
+    # AllWhite: argmin at the first point; AllBlue: at the last.
+    for scenario, v_blue in ((Scenario(0.9, 0.05, 20.0), 0.0), (Scenario(0.05, 0.9, 20.0), 20.0)):
+        config = OracleConfig(20_001, refine)
+        assert _assert_same_as_whole_array(example_profile, scenario, config)[0] == v_blue
+    # Step 1.0 and the root at v = 8192: the first point of the second block.
+    profile = EconomyProfile(60_000.0, 40_000.0, 1.0, 1.5, 1.0)
+    v_blue, _ = _assert_same_as_whole_array(profile, Scenario(0.2, 0.2, 20_480.0),
+                                            OracleConfig(20_481, refine))
+    if not refine:
+        assert v_blue == 8192.0
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_blocked_grid_keeps_first_point_of_a_flat_objective(refine):
+    # gamma = 1 and beta = 0: every grid point ties, in every block.
+    profile = EconomyProfile(60.0, 40.0, 1.0, 1.5, 1.0)
+    config = OracleConfig(100_001, refine)
+    assert _assert_same_as_whole_array(profile, Scenario(0.0, 0.0, 20.0), config)[0] == 0.0
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_blocked_grid_keeps_first_nan_of_an_overflowing_profile(refine):
+    config = OracleConfig(100_001, refine)
+    profile = EconomyProfile(1e308, 1e308, 1e308, 1e308, 0.8)
+    v_blue, value = _assert_same_as_whole_array(profile, Scenario(0.3, 0.6, 1e307), config)
+    assert v_blue == 0.0 and math.isnan(value)
+    # The white term is inf everywhere and the blue one overflows from
+    # v = 1.7977e307 (index 17,977, the third block) on: inf before, nan after.
+    profile = EconomyProfile(1e308, 1e307, 10.0, 10.0, 1.0)
+    v_blue, value = _assert_same_as_whole_array(profile, Scenario(0.0, 1.0, 1e308), config)
+    assert v_blue == 1.7977e307 and math.isnan(value)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    labor=st.tuples(st.floats(1.0, 1e9), st.floats(1.0, 1e9)),
+    alpha=st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
+    gamma=st.floats(1e-3, 1.0),
+    betas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    coverage=st.floats(0.0, 0.999),
+    points=st.integers(3, 40_000),
+    refine=st.booleans(),
+)
+def test_blocked_grid_equals_whole_array_property(labor, alpha, gamma, betas, coverage, points,
+                                                  refine):
+    profile = EconomyProfile(*labor, *alpha, gamma)
+    scenario = Scenario(*betas, coverage * profile.total_labor)
+    _assert_same_as_whole_array(profile, scenario, OracleConfig(points, refine))
+
+
+@pytest.mark.parametrize("points, limit_mib", [(100_001, 1.5), (MAX_ORACLE_POINTS, 12.0)])
+def test_oracle_allocates_no_grid_sized_temporaries(points, limit_mib, example_profile):
+    # The grid itself is 0.76 MiB at 100,001 points and 7.6 MiB at the cap; the
+    # whole-array evaluation peaked at 3.82 and 38.15 MiB.
+    scenario = Scenario(0.05, 0.3, 20.0)
+    config = OracleConfig(points)
+    brute_force_optimum(example_profile, scenario, config)
+    tracemalloc.start()
+    try:
+        brute_force_optimum(example_profile, scenario, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
