@@ -6,76 +6,35 @@ layoffs, a brute-force oracle for auditing it, a country calibration
 pipeline, and scenario sweeps over infection-risk grids.
 """
 
-from .calibration import (
-    DEFAULT_GAMMA,
-    CountryRecord,
-    DataFormatError,
-    builtin_dataset_path,
-    calibrate,
-    load_countries,
-    parse_countries,
-)
-from .model import (
-    AllocationResult,
-    Clamp,
-    DegenerateModelError,
-    EconomyProfile,
-    ModelInputError,
-    Partials,
-    Scenario,
-    UnemploymentBreakdown,
-    crossing_point,
-    effective_labor,
-    interior_optimum,
-    objective,
-    partials,
-    solve,
-    unemployment,
-)
-from .oracle import OracleConfig, brute_force_optimum
-from .sweep import (
-    GridSpec,
-    SweepGrid,
-    ThresholdSummary,
-    frontier_curve,
-    frontier_sweep,
-    sweep_matrix,
-    threshold_share,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllocationResult",
-    "Clamp",
-    "CountryRecord",
-    "DEFAULT_GAMMA",
-    "DataFormatError",
-    "DegenerateModelError",
-    "EconomyProfile",
-    "GridSpec",
-    "ModelInputError",
-    "OracleConfig",
-    "Partials",
-    "Scenario",
-    "SweepGrid",
-    "ThresholdSummary",
-    "UnemploymentBreakdown",
-    "builtin_dataset_path",
-    "brute_force_optimum",
-    "calibrate",
-    "crossing_point",
-    "effective_labor",
-    "frontier_curve",
-    "frontier_sweep",
-    "interior_optimum",
-    "load_countries",
-    "objective",
-    "parse_countries",
-    "partials",
-    "solve",
-    "sweep_matrix",
-    "threshold_share",
-    "unemployment",
-    "__version__",
-]
+# Submodule -> public names, each imported on first use (PEP 562): the CLI loads what it needs.
+_EXPORTS = {
+    "calibration": ("DEFAULT_GAMMA", "CountryRecord", "DataFormatError",
+                    "builtin_dataset_path", "calibrate", "load_countries", "parse_countries"),
+    "model": ("AllocationResult", "Clamp", "DegenerateModelError", "EconomyProfile",
+              "ModelInputError", "Partials", "Scenario", "UnemploymentBreakdown",
+              "crossing_point", "effective_labor", "interior_optimum", "objective",
+              "partials", "solve", "unemployment"),
+    "oracle": ("OracleConfig", "brute_force_optimum"),
+    "sweep": ("GridSpec", "SweepGrid", "ThresholdSummary", "frontier_curve",
+              "frontier_sweep", "sweep_matrix", "threshold_share"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # importing a submodule binds it here
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

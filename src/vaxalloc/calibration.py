@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Union
 
-from .model import EconomyProfile, ModelInputError
+from .model import EconomyProfile, ModelInputError, _Frozen
 
 CSV_HEADER = ("country", "employment", "telework_share")
 
@@ -33,8 +31,7 @@ class DataFormatError(ValueError):
     """A country dataset does not conform to the documented CSV schema."""
 
 
-@dataclass(frozen=True)
-class CountryRecord:
+class CountryRecord(_Frozen):
     """One ingestion row: identifier, employment and telework share."""
 
     country_code: str       # two-letter identifier
@@ -106,14 +103,17 @@ def parse_countries(source: Union[IO[str], Iterable[str]]) -> list[CountryRecord
 
 
 def load_countries(path: Union[str, Path]) -> list[CountryRecord]:
-    """Read and parse a country CSV file."""
+    """Read and parse a country CSV file, which must be UTF-8."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        return parse_countries(handle)
+        try:
+            return parse_countries(handle)
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"dataset {path} is not UTF-8 text ({exc.reason})") from None
 
 
 def builtin_dataset_path() -> Path:
     """Location of the packaged synthetic country dataset."""
-    return Path(str(resources.files(__package__) / "data" / "synthetic_countries.csv"))
+    return Path(__file__).parent / "data" / "synthetic_countries.csv"
 
 
 def calibrate(record: CountryRecord, gamma: float = DEFAULT_GAMMA) -> EconomyProfile:
@@ -123,12 +123,16 @@ def calibrate(record: CountryRecord, gamma: float = DEFAULT_GAMMA) -> EconomyPro
     labor the remainder (the two add up to the total exactly).  With the
     white-collar coefficient normalized to one, the blue-collar coefficient
     L_w / L_b makes both tasks supply identical output before the epidemic.
+    A record whose split rounds a pool to zero (a share below about 1e-16,
+    or subnormal employment) raises DataFormatError naming its country.
     """
     if not (0.0 < gamma <= 1.0):
         raise ModelInputError(f"gamma must lie in (0, 1], got {gamma!r}")
     labor_blue = record.employment_total - record.telework_share * record.employment_total
     # complementing twice makes the pools sum to the total exactly
     labor_white = record.employment_total - labor_blue
+    if not (labor_white > 0.0 and labor_blue > 0.0):
+        raise DataFormatError(f"country {record.country_code}: a labor pool rounds to zero")
     return EconomyProfile(
         labor_white=labor_white,
         labor_blue=labor_blue,

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .calibration import (
     DEFAULT_GAMMA,
@@ -29,8 +28,9 @@ from .calibration import (
     load_countries,
 )
 from .model import CLAMPS, Clamp, ModelInputError, Scenario, solve
-from .oracle import OracleConfig, brute_force_optimum
-from .sweep import GridSpec, SweepGrid, frontier_sweep, sweep_matrix, threshold_share
+
+if TYPE_CHECKING:  # the commands that use oracle, sweep or json import them
+    from .sweep import GridSpec, SweepGrid
 
 DATASET_ENV_VAR = "VAXALLOC_DATASET"
 
@@ -218,6 +218,7 @@ def _write_table(path, fmt: str, command: str, fields, rows, metadata) -> None:
             writer.writerow(fields)
             writer.writerows(rows)
         else:
+            import json
             rows = [dict(zip(fields, row)) for row in rows]
             document = {"command": command, "metadata": metadata, "rows": rows}
             handle.write(json.dumps(document, indent=2))
@@ -241,6 +242,7 @@ def _write_lattice_json(handle, country: str, sweep: SweepGrid, lead: str) -> No
     # separated by ",\n"; ``lead`` goes before the lattice's first row.
     # json.dumps escapes the country as the whole-document encoder would; clamp
     # labels are plain ASCII words and json writes a float as its repr.
+    import json
     prefix = (f'    {{\n      "country": {json.dumps(country)},\n'
               f'      "v_over_l": {sweep.v_over_l!r},\n')
     blue = [f'      "beta_b": {beta_b!r},\n      "v_ratio": ' for beta_b in sweep.beta_blue]
@@ -269,6 +271,7 @@ def _write_lattices(path, fmt: str, command: str, lattices, metadata) -> None:
             for country, sweep in lattices:
                 _write_lattice_csv(handle, country, sweep)
         return
+    import json
     lattices = list(lattices)
     degenerate = sum(int((sweep.clamp == CLAMPS.index(Clamp.DEGENERATE)).sum())
                      for _, sweep in lattices)
@@ -330,6 +333,7 @@ def _cmd_solve(args, records, provenance) -> int:
 
 
 def _cmd_frontier(args, records, provenance) -> int:
+    from .sweep import GridSpec, frontier_sweep
     grid = GridSpec(args.beta_min, args.beta_max, args.beta_step)
     profiles = _profiles(records, args.gamma)
     _check_lattices(profiles, args.v_over_l, args.beta_w, grid)
@@ -349,6 +353,7 @@ def _cmd_frontier(args, records, provenance) -> int:
 
 
 def _cmd_sweep(args, records, provenance) -> int:
+    from .sweep import GridSpec, sweep_matrix
     grid = GridSpec(args.beta_min, args.beta_max, args.beta_step)
     profiles = _profiles(records, args.gamma)
     _check_lattices(profiles, args.v_over_l, (grid.beta_min,), grid)
@@ -374,6 +379,7 @@ def _cmd_sweep(args, records, provenance) -> int:
 
 
 def _cmd_summarize(args, records, provenance) -> int:
+    from .sweep import GridSpec, sweep_matrix, threshold_share
     grid = GridSpec(args.beta_min, args.beta_max, args.beta_step)
     rows = []
     for record, profile in _profiles(records, args.gamma):
@@ -393,6 +399,7 @@ def _cmd_summarize(args, records, provenance) -> int:
 
 
 def _cmd_audit(args, records, provenance) -> int:
+    from .oracle import OracleConfig, brute_force_optimum
     config = OracleConfig(grid_points=args.grid_points, refine=not args.no_refine)
     rows = []
     for record, profile in _profiles(records, args.gamma):

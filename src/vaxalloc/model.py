@@ -35,7 +35,6 @@ here is pure, so instances are safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -68,8 +67,47 @@ CLAMPS = tuple(Clamp)  # clamp code i, as returned by solve_arrays, names CLAMPS
 _ALL_WHITE, _INTERIOR, _ALL_BLUE, _DEGENERATE = range(len(CLAMPS))
 
 
-@dataclass(frozen=True)
-class EconomyProfile:
+class _Frozen:
+    """``dataclass(frozen=True)`` for the public value classes, without importing it.
+
+    A subclass's annotated names are its fields.  Its ``__init__`` is made once,
+    as ``dataclasses`` makes it; ``__dict__`` then holds the fields in order, and
+    nothing can be set or deleted.  ``eq=False`` keeps identity equality.
+    """
+
+    def __init_subclass__(cls, eq: bool = True) -> None:
+        fields = cls.__match_args__ = tuple(cls.__annotations__)
+        namespace = {f"_{name}": vars(cls)[name] for name in fields if name in vars(cls)}
+        params = ", ".join(f"{f}=_{f}" if f"_{f}" in namespace else f for f in fields)
+        stores = "".join(f"    _setattr(self, {name!r}, {name})\n" for name in fields)
+        post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+        namespace["_setattr"] = object.__setattr__
+        exec(f"def __init__(self, {params}):\n{stores}{post}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class EconomyProfile(_Frozen):
     """A calibrated economy: labor supplies and technology coefficients."""
 
     labor_white: float   # L_w > 0, heads
@@ -95,8 +133,7 @@ class EconomyProfile:
         return self.labor_blue / self.total_labor
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Frozen):
     """One epidemic/supply configuration: infection risks and vaccine stock."""
 
     beta_white: float  # infection probability for white-collar workers, in [0, 1]
@@ -125,8 +162,7 @@ class Scenario:
         return cls(beta_white, beta_blue, v_over_l * profile.total_labor)
 
 
-@dataclass(frozen=True)
-class AllocationResult:
+class AllocationResult(_Frozen):
     """Solved allocation with its full employment accounting."""
 
     v_blue_star: float      # optimal blue-collar doses, in [0, V]
@@ -140,8 +176,7 @@ class AllocationResult:
     surplus_white: float    # idle white-collar effective labor, >= 0
 
 
-@dataclass(frozen=True)
-class Partials:
+class Partials(_Frozen):
     """Sensitivities of the unclamped optimum to the two infection risks."""
 
     d_beta_blue: float

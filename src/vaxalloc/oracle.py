@@ -17,9 +17,8 @@ blocks' first minima are combined with `np.argmin`, so the first minimum
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import EconomyProfile, ModelInputError, Scenario, _check_pair
+from .model import EconomyProfile, ModelInputError, Scenario, _Frozen, _check_pair
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -31,8 +30,7 @@ MAX_ORACLE_POINTS = 1_000_001
 _BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(_Frozen):
     grid_points: int = 100_001
     refine: bool = True
 

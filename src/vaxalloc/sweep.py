@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .model import (
@@ -24,6 +23,7 @@ from .model import (
     EconomyProfile,
     ModelInputError,
     Scenario,
+    _Frozen,
     solve,
     solve_arrays,
 )
@@ -36,8 +36,7 @@ if TYPE_CHECKING:
 MAX_GRID_POINTS = 2001
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Frozen):
     """Uniform lattice of infection risks, used for both axes."""
 
     beta_min: float = 0.05
@@ -100,8 +99,7 @@ class _Cells(Mapping):
         return len(self._sweep.beta_white) * len(self._sweep.beta_blue)
 
 
-@dataclass(frozen=True, eq=False)
-class SweepGrid:
+class SweepGrid(_Frozen, eq=False):
     """Solved allocations on a (beta_w, beta_b) lattice at one stock level.
 
     Row i of the arrays is ``beta_white[i]`` and column j is ``beta_blue[j]``;
@@ -128,8 +126,7 @@ class SweepGrid:
         return float(self.v_blue_star[i, j]) / self.vaccines
 
 
-@dataclass(frozen=True)
-class ThresholdSummary:
+class ThresholdSummary(_Frozen):
     """Share of riskier-blue-collar scenarios above a dose-share cutoff."""
 
     threshold: float

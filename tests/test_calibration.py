@@ -123,6 +123,23 @@ class TestCalibrate:
             with pytest.raises(ModelInputError):
                 calibrate(record, gamma)
 
+    @pytest.mark.parametrize("employment, share", [
+        (5e-324, 0.3),                  # white-collar pool underflows
+        (5e-324, 0.9999999999999999),   # blue-collar pool rounds to zero
+        (1000.0, 1e-20),                # share below the spacing of employment
+    ])
+    def test_zero_pool_is_a_data_error_naming_the_country(self, employment, share):
+        with pytest.raises(DataFormatError, match="^country XA: a labor pool rounds to zero$"):
+            calibrate(CountryRecord("XA", employment, share))
+
+
+def test_non_utf8_file_is_a_data_error_naming_it(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(HEADER.encode() + b"X\xe9,1000,0.4\n")
+    with pytest.raises(DataFormatError, match="is not UTF-8") as err:
+        load_countries(path)
+    assert str(path) in str(err.value)
+
 
 class TestBuiltinDataset:
     def test_loads_and_validates(self):

@@ -276,6 +276,26 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("row, message", [
+    (b"X\xe9,1000,0.4", "dataset {dataset} is not UTF-8 text"),
+    (b"XA,5e-324,0.3", "country XA: a labor pool rounds to zero"),
+    (b"XA,5e-324,0.9999999999999999", "country XA: a labor pool rounds to zero"),
+])
+def test_dataset_faults_exit_two_with_one_line(tmp_path, capsys, row, message):
+    dataset = tmp_path / "bad.csv"
+    dataset.write_bytes(b"country,employment,telework_share\n" + row + b"\n")
+    for command in (["calibrate"], ["solve", "--beta-w", "0.1", "--beta-b", "0.3"]):
+        code, out, err = run_cli([*command, "--input", str(dataset)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("vaxalloc: data error: ") and err.count("\n") == 1
+        assert message.format(dataset=dataset) in err
+    if b"\xe9" not in row:  # a readable record: a bad --gamma is still a usage error
+        code, _, err = run_cli(["calibrate", "--input", str(dataset), "--gamma", "1.5"], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("vaxalloc: error: gamma")
+
+
 def _fail_after_one_row(monkeypatch):
     # Write part of the first lattice, then fail the way a full disk would.
     def write_then_fail(handle, country, sweep):
@@ -385,16 +405,25 @@ def test_reused_parser_carries_no_flag_between_calls(tmp_path, monkeypatch):
 
 
 def test_calibrate_and_solve_never_import_numpy(tmp_path):
+    # Also none of the other modules calibrate and solve do without; modules
+    # the interpreter's site loaded before the snapshot do not count.
     script = "\n".join([
         "import sys",
+        "before = set(sys.modules)",
         "import vaxalloc, vaxalloc.cli",
         "from vaxalloc.cli import main",
         f"out = {str(tmp_path / 'out')!r}",
         "assert main(['calibrate', '--output', out]) == 0",
         "assert main(['solve', '--beta-w', '0.05', '--beta-b', '0.3', '--output', out]) == 0",
         "assert 'numpy' not in sys.modules, 'numpy loaded by calibrate or solve'",
+        "unneeded = {'numpy', 'dataclasses', 'inspect', 'json', 'vaxalloc.oracle',",
+        "            'vaxalloc.sweep'} & (set(sys.modules) - before)",
+        "assert not unneeded, f'calibrate or solve loaded {sorted(unneeded)}'",
         "assert main(['sweep', '--country', 'XA', '--output', out]) == 0",
         "assert 'numpy' in sys.modules, 'numpy not loaded by sweep'",
+        "assert main(['audit', '--country', 'XA', '--beta-w', '0.1', '--beta-b', '0.6',",
+        "             '--grid-points', '101', '--format', 'json', '--output', out]) == 0",
+        "assert 'vaxalloc.oracle' in sys.modules, 'oracle not loaded by audit'",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
