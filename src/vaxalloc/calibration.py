@@ -10,7 +10,7 @@ The package ships a small synthetic dataset (telework shares 0.30-0.55,
 country codes in the user-assigned XA..XZ range) purely for illustration
 and reproducible tests; real data is supplied by the user in the same CSV
 format: header ``country,employment,telework_share``, comma separated,
-UTF-8, plain decimal points.
+UTF-8 without a byte-order mark, plain decimal points.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ def parse_countries(source: Union[IO[str], Iterable[str]]) -> list[CountryRecord
             continue
         if not header_checked:
             if tuple(cell.strip() for cell in row) != CSV_HEADER:
+                if row_number == 1 and row[0].startswith("\ufeff"):
+                    raise DataFormatError("row 1: file starts with a UTF-8 byte-order mark "
+                                          "(U+FEFF); save it as plain UTF-8")
                 raise DataFormatError(
                     f"row {row_number}: expected header {','.join(CSV_HEADER)!r}, "
                     f"got {','.join(row)!r}"

@@ -344,8 +344,9 @@ def solve_arrays(
     ``CLAMPS[clamp_code]`` is the branch.  The arithmetic follows
     ``interior_optimum`` and ``solve`` operation for operation, so every
     element equals ``solve(profile, Scenario(bw, bb, vaccines))`` bit for
-    bit.  Nothing is validated here: pass risks in [0, 1] and a stock in
-    [0, L), as ``GridSpec`` and ``Scenario.with_coverage`` guarantee.
+    bit.  The root is clamped in place, and degenerate cells are patched only
+    when some exist.  Nothing is validated here: pass risks in [0, 1] and a
+    stock in [0, L), as ``GridSpec`` and ``Scenario.with_coverage`` guarantee.
     """
     import numpy as np
 
@@ -353,23 +354,21 @@ def solve_arrays(
     beta_blue = np.asarray(beta_blue, dtype=float)
     white_dose = 1.0 - profile.gamma * (1.0 - beta_white)
     leverage = profile.alpha_blue * beta_blue + profile.alpha_white * white_dose
-    numerator = profile.alpha_white * (
+    numerator = np.asarray(profile.alpha_white * (  # an array even for scalar risks
         (1.0 - beta_white) * profile.gamma * profile.labor_white + white_dose * vaccines
-    ) - (1.0 - beta_blue) * profile.alpha_blue * profile.labor_blue
-    degenerate = leverage == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate cells, replaced below
-        interior = numerator / leverage
-    all_white = interior <= 0.0
-    v_star = np.where(
-        degenerate,
-        vaccines * profile.labor_blue / profile.total_labor,
-        np.where(all_white, 0.0, np.minimum(interior, vaccines)),
-    )
-    code = np.where(
-        degenerate,
-        _DEGENERATE,
-        np.where(all_white, _ALL_WHITE, np.where(interior >= vaccines, _ALL_BLUE, _INTERIOR)),
-    ).astype(np.int8)
+    ) - (1.0 - beta_blue) * profile.alpha_blue * profile.labor_blue)
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate cells, patched below
+        v_star = np.divide(numerator, leverage, out=numerator)
+    all_white = v_star <= 0.0  # masks before the clamp: at V = 0 a root > 0 is AllBlue
+    code = np.asarray(v_star >= vaccines).view(np.int8)
+    code += _INTERIOR  # AllBlue where the root is >= V
+    code[all_white] = _ALL_WHITE
+    np.minimum(v_star, vaccines, out=v_star)
+    v_star[all_white] = 0.0
+    if not leverage.all():  # some cell has leverage == 0: no dose moves anything
+        degenerate = leverage == 0.0
+        v_star[degenerate] = vaccines * profile.labor_blue / profile.total_labor
+        code[degenerate] = _DEGENERATE
     return v_star, code
 
 

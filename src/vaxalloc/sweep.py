@@ -7,16 +7,18 @@ fixed stock level, and threshold summaries counting the above-diagonal
 scenarios (beta_b > beta_w) where the blue-collar share exceeds a cutoff.
 
 Every lattice is solved in one call to the array kernel
-``model.solve_arrays``, which matches the scalar ``solve`` bit for bit; the
-per-cell ``AllocationResult`` objects are only built when ``SweepGrid.cells``
-is read.
+``model.solve_arrays``, which matches the scalar ``solve`` bit for bit, on
+risk axes built once per grid; the per-cell ``AllocationResult`` objects are
+only built when ``SweepGrid.cells`` is read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator, Mapping
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .model import (
     AllocationResult,
@@ -27,9 +29,6 @@ from .model import (
     solve,
     solve_arrays,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Largest lattice accepted per axis: a 0.0005 step over [0, 1].  A full
 # sweep holds a few arrays of MAX_GRID_POINTS**2 doubles (~32 MB each).
@@ -68,8 +67,22 @@ class GridSpec(_Frozen):
         return int(math.floor(intervals)) + 1
 
     def values(self) -> tuple[float, ...]:
-        # Rounding keeps lattice values like 0.15 exact instead of 0.15000000000000002.
-        return tuple(round(self.beta_min + i * self.step, 12) for i in range(self.points))
+        return _lattice(self.beta_min, self.step, self.points)
+
+
+# typed: GridSpec(0, 1, 1) == GridSpec(0.0, 1.0, 1.0), but only one yields ints.
+@functools.lru_cache(maxsize=8, typed=True)
+def _lattice(beta_min: float, step: float, points: int) -> tuple[float, ...]:
+    # Rounding keeps lattice values like 0.15 exact instead of 0.15000000000000002.
+    return tuple(round(beta_min + i * step, 12) for i in range(points))
+
+
+@functools.lru_cache(maxsize=4)
+def _riskier_blue(beta_white: tuple, beta_blue: tuple) -> tuple[np.ndarray, int]:
+    """Read-only beta_blue > beta_white mask of a lattice, and its count."""
+    mask = np.less.outer(beta_white, beta_blue)
+    mask.flags.writeable = False
+    return mask, int(np.count_nonzero(mask))
 
 
 class _Cells(Mapping):
@@ -140,8 +153,6 @@ def _solve_lattice(
     v_over_l: float,
     grid: GridSpec,
 ) -> SweepGrid:
-    import numpy as np
-
     beta_blue = grid.values()
     # Building the first cell's scenario validates the coverage and the first
     # white-collar risk; the lattice itself was validated by GridSpec.
@@ -207,10 +218,7 @@ def threshold_share(sweep: SweepGrid, threshold: float) -> ThresholdSummary:
     """
     if not (0.0 < threshold < 1.0):
         raise ModelInputError(f"threshold must lie in (0, 1), got {threshold!r}")
-    import numpy as np
-
-    riskier_blue = np.asarray(sweep.beta_blue)[None, :] > np.asarray(sweep.beta_white)[:, None]
-    considered = int(np.count_nonzero(riskier_blue))
+    riskier_blue, considered = _riskier_blue(sweep.beta_white, sweep.beta_blue)
     if considered == 0:
         raise ModelInputError("no cells with beta_blue > beta_white; grid too small")
     above = sweep.v_blue_star / sweep.vaccines > threshold

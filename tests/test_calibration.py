@@ -141,6 +141,19 @@ def test_non_utf8_file_is_a_data_error_naming_it(tmp_path):
     assert str(path) in str(err.value)
 
 
+def test_byte_order_mark_is_a_data_error_naming_it(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + HEADER.encode() + b"SE,5000000,0.45\n")
+    message = ("row 1: file starts with a UTF-8 byte-order mark (U+FEFF); "
+               "save it as plain UTF-8")
+    with pytest.raises(DataFormatError) as err:
+        load_countries(path)
+    assert str(err.value) == message
+    # only a mark at the very start is named; elsewhere it is a bad header
+    with pytest.raises(DataFormatError, match="row 2: expected header"):
+        parse_countries(io.StringIO("\n\ufeff" + HEADER))
+
+
 class TestBuiltinDataset:
     def test_loads_and_validates(self):
         records = load_countries(builtin_dataset_path())

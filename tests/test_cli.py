@@ -296,6 +296,15 @@ def test_dataset_faults_exit_two_with_one_line(tmp_path, capsys, row, message):
         assert err.startswith("vaxalloc: error: gamma")
 
 
+def test_byte_order_mark_exits_two_naming_it(tmp_path, capsys):
+    dataset = tmp_path / "bom.csv"
+    dataset.write_bytes(b"\xef\xbb\xbfcountry,employment,telework_share\nXA,1000,0.4\n")
+    code, out, err = run_cli(["calibrate", "--input", str(dataset)], capsys)
+    assert (code, out) == (EXIT_DATA, "")
+    assert err == ("vaxalloc: data error: row 1: file starts with a UTF-8 byte-order mark "
+                   "(U+FEFF); save it as plain UTF-8\n")
+
+
 def _fail_after_one_row(monkeypatch):
     # Write part of the first lattice, then fail the way a full disk would.
     def write_then_fail(handle, country, sweep):

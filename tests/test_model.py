@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import draw_profile, draw_scenario, labor_scale
 from vaxalloc import (
@@ -290,6 +292,49 @@ class TestSolveArrays:
                 assert [CLAMPS[c] for c in code.ravel().tolist()] == [r.clamp for r in expected]
                 if gamma == 1.0:
                     assert CLAMPS[code[0, 0]] is Clamp.DEGENERATE
+
+
+_RISK = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_SIZE = st.floats(min_value=5e-324, max_value=1e6)  # subnormals included
+
+
+# An uncalibrated profile can overflow the root to inf, which both paths clamp alike.
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    labor=st.tuples(_SIZE, _SIZE),
+    alpha=st.tuples(_SIZE, _SIZE),
+    gamma=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    beta_white=st.lists(_RISK, min_size=1, max_size=4),
+    beta_blue=st.lists(_RISK, min_size=1, max_size=4),
+    coverage=st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0.0, 1.0, exclude_max=True)),
+)
+# V = 0 with a positive root: AllBlue, so the masks must precede the clamp
+@example(labor=(60.0, 40.0), alpha=(1.0, 1.5), gamma=0.8,
+         beta_white=[0.5], beta_blue=[0.9], coverage=0.0)
+# a negative root that underflows to -0.0: AllWhite at +0.0, which np.clip misses
+@example(labor=(1.0, 5e-324), alpha=(4.0, 1.0), gamma=0.8,
+         beta_white=[1.0], beta_blue=[0.0], coverage=0.0)
+# degenerate cells at gamma = 1, and a stock 5e-324 * L that underflows to 0
+@example(labor=(0.25, 0.25), alpha=(1.0, 1.0), gamma=1.0,
+         beta_white=[0.0, 1.0], beta_blue=[0.0, 1.0], coverage=5e-324)
+def test_solve_arrays_matches_solve_on_random_profiles(
+    labor, alpha, gamma, beta_white, beta_blue, coverage
+):
+    profile = EconomyProfile(*labor, *alpha, gamma)
+    vaccines = coverage * profile.total_labor
+    assume(vaccines < profile.total_labor)
+    v_star, code = solve_arrays(
+        profile, np.array(beta_white)[:, None], np.array(beta_blue)[None, :], vaccines
+    )
+    assert v_star.shape == code.shape == (len(beta_white), len(beta_blue))
+    assert code.dtype == np.int8
+    for (i, beta_w), (j, beta_b) in itertools.product(enumerate(beta_white), enumerate(beta_blue)):
+        expected = solve(profile, Scenario(beta_w, beta_b, vaccines))
+        got, want = float(v_star[i, j]), expected.v_blue_star
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert CLAMPS[code[i, j]] is expected.clamp
 
 
 class TestUnemployment:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from vaxalloc import (
     sweep_matrix,
     threshold_share,
 )
+from vaxalloc import sweep
+from vaxalloc.cli import main
 from vaxalloc.model import CLAMPS
 from vaxalloc.sweep import MAX_GRID_POINTS
 
@@ -58,6 +62,37 @@ class TestGridSpec:
         for step in (0.00049, 1e-9, 5e-324):
             with pytest.raises(ModelInputError, match="more than 2001 points"):
                 GridSpec(0.0, 1.0, step)
+
+
+class TestLatticeCache:
+    def test_summarize_builds_its_lattice_once(self, tmp_path):
+        caches = (sweep._lattice, sweep._riskier_blue)
+        for cache in caches:
+            cache.cache_clear()
+        argv = ["summarize", "--beta-step", "0.01", "--v-over-l", "0.2,0.4,0.6",
+                "--output", str(tmp_path / "summary.csv")]
+        assert main(argv) == 0
+        assert (tmp_path / "summary.csv").read_text().count("\n") == 1 + 7 * 3
+        assert [cache.cache_info().misses for cache in caches] == [1, 1]
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+    def test_equal_grids_keep_their_own_lattices(self, order):
+        grids = (GridSpec(0, 1, 1), GridSpec(0.0, 1.0, 1.0), GridSpec(-0.0, 1.0, 1.0))
+        assert grids[0] == grids[1] == grids[2]
+        sweep._lattice.cache_clear()
+        values = {k: grids[k].values() for k in order}
+        assert [type(v) for v in values[0]] == [int, int]
+        # -0.0 + 0 * step is 0.0, so a -0.0 start may share the 0.0 entry
+        assert [(type(v), math.copysign(1.0, v)) for v in values[1] + values[2]] == [
+            (float, 1.0)] * 4
+
+    def test_shared_lattice_and_mask_are_read_only(self):
+        lattice = GridSpec().values()
+        assert isinstance(lattice, tuple) and GridSpec().values() is lattice
+        mask, considered = sweep._riskier_blue(lattice, lattice)
+        assert considered == 19 * 18 // 2
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 1] = False
 
 
 class TestFrontierCurve:
