@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: ``calibrate`` (inspect calibrated economies), ``solve`` (one
-scenario per row), ``frontier`` (dose share against blue-collar risk),
-``sweep`` (full risk matrices), ``summarize`` (threshold shares) and
-``audit`` (closed form versus brute-force oracle).  Results are emitted as
-plot-ready long-format CSV tables or as JSON with full provenance metadata.
+Each subcommand is one ``_SPECS`` entry: its CSV columns, its row source and
+its JSON metadata keys.  ``_run`` calibrates the countries once, checks every
+lattice's inputs, assembles the metadata and hands table rows to
+``_write_table`` or ``(country, SweepGrid)`` lattices to ``_write_lattices``,
+the only two emitters: long-format CSV, or JSON with provenance metadata.
 
 Exit codes: 0 success, 1 usage or input-validation failure, 2 data error,
 141 standard output closed early (as for a tool killed by SIGPIPE).
@@ -45,20 +45,7 @@ DEFAULT_THRESHOLD = 0.66
 
 CLAMP_NAMES = tuple(clamp.value for clamp in CLAMPS)  # clamp code -> CSV label
 
-SOLVE_FIELDS = (
-    "country", "beta_w", "beta_b", "v_over_l", "v_blue_star", "v_ratio",
-    "clamp", "objective", "surplus_blue", "surplus_white",
-)
 SWEEP_FIELDS = ("country", "v_over_l", "beta_w", "beta_b", "v_ratio", "clamp")
-SUMMARY_FIELDS = ("country", "v_over_l", "threshold", "share_exceeding")
-CALIBRATE_FIELDS = (
-    "country", "employment", "telework_share", "labor_white", "labor_blue",
-    "alpha_white", "alpha_blue", "gamma",
-)
-AUDIT_FIELDS = (
-    "country", "beta_w", "beta_b", "v_over_l", "v_blue_star", "oracle_v_blue",
-    "objective", "oracle_objective", "gap",
-)
 
 
 class UsageError(Exception):
@@ -174,10 +161,6 @@ def _select_records(args):
     return records, {"dataset": str(path), "dataset_origin": origin}
 
 
-def _grid_metadata(grid: GridSpec) -> dict:
-    return {"beta_min": grid.beta_min, "beta_max": grid.beta_max, "step": grid.step}
-
-
 @contextmanager
 def _opened(path):
     """Text handle on ``path``, or stdout for '-'.
@@ -288,149 +271,110 @@ def _write_lattices(path, fmt: str, command: str, lattices, metadata) -> None:
         handle.write("\n  ]\n}\n")
 
 
-def _profiles(records, gamma: float) -> list:
-    return [(record, calibrate(record, gamma)) for record in records]
-
-
-def _check_lattices(profiles, v_over_l, beta_white, grid: GridSpec) -> None:
-    # Every lattice's inputs, checked in solving order before the first row is written.
-    for _, profile in profiles:
-        for v in v_over_l:
-            for beta_w in beta_white:
-                Scenario.with_coverage(profile, beta_w, grid.beta_min, v)
-
-
-def _cmd_calibrate(args, records, provenance) -> int:
-    rows = [(record.country_code, record.employment_total, record.telework_share,
-             profile.labor_white, profile.labor_blue, profile.alpha_white, profile.alpha_blue,
-             profile.gamma) for record, profile in _profiles(records, args.gamma)]
-    metadata = {"gamma": args.gamma, **provenance}
-    _write_table(args.output, args.format, "calibrate", CALIBRATE_FIELDS, rows, metadata)
-    return EXIT_OK
-
-
-def _cmd_solve(args, records, provenance) -> int:
-    rows = []
-    for record, profile in _profiles(records, args.gamma):
-        for v_over_l in args.v_over_l:
-            scenario = Scenario.with_coverage(profile, args.beta_w, args.beta_b, v_over_l)
-            result = solve(profile, scenario)
-            rows.append((
-                record.country_code, args.beta_w, args.beta_b, v_over_l, result.v_blue_star,
-                result.v_blue_star / scenario.vaccines, result.clamp.value, result.objective,
-                result.surplus_blue, result.surplus_white,
-            ))
-    metadata = {
-        "gamma": args.gamma,
-        "beta_w": args.beta_w,
-        "beta_b": args.beta_b,
-        "v_over_l": list(args.v_over_l),
-        "degenerate_rows": sum(row[6] == Clamp.DEGENERATE.value for row in rows),
-        **provenance,
-    }
-    _write_table(args.output, args.format, "solve", SOLVE_FIELDS, rows, metadata)
-    return EXIT_OK
-
-
-def _cmd_frontier(args, records, provenance) -> int:
-    from .sweep import GridSpec, frontier_sweep
-    grid = GridSpec(args.beta_min, args.beta_max, args.beta_step)
-    profiles = _profiles(records, args.gamma)
-    _check_lattices(profiles, args.v_over_l, args.beta_w, grid)
-    lattices = ((record.country_code, frontier_sweep(profile, beta_w, v_over_l, grid))
-                for record, profile in profiles
-                for v_over_l in args.v_over_l for beta_w in args.beta_w)
-    metadata = {
-        "gamma": args.gamma,
-        "beta_w": list(args.beta_w),
-        "v_over_l": list(args.v_over_l),
-        "grid": _grid_metadata(grid),
-        "degenerate_rows": None,  # filled in by _write_lattices
-        **provenance,
-    }
-    _write_lattices(args.output, args.format, "frontier", lattices, metadata)
-    return EXIT_OK
-
-
-def _cmd_sweep(args, records, provenance) -> int:
-    from .sweep import GridSpec, sweep_matrix
-    grid = GridSpec(args.beta_min, args.beta_max, args.beta_step)
-    profiles = _profiles(records, args.gamma)
-    _check_lattices(profiles, args.v_over_l, (grid.beta_min,), grid)
-    metadata = {
-        "gamma": args.gamma,
-        "v_over_l": list(args.v_over_l),
-        "grid": _grid_metadata(grid),
-        **provenance,
-    }
-    if args.out_dir is None:
-        lattices = ((record.country_code, sweep_matrix(profile, v_over_l, grid))
-                    for record, profile in profiles for v_over_l in args.v_over_l)
-        _write_lattices(args.output, args.format, "sweep", lattices, metadata)
-        return EXIT_OK
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _scenarios(args, profiles):
+    """(country, v_over_l, profile, scenario, closed-form result) per country and stock."""
     for record, profile in profiles:
         for v_over_l in args.v_over_l:
-            lattice = (record.country_code, sweep_matrix(profile, v_over_l, grid))
-            _write_lattices(out_dir / f"sweep_{record.country_code}_{v_over_l!r}.{args.format}",
-                            args.format, "sweep", [lattice], {**metadata, "v_over_l": v_over_l})
-    return EXIT_OK
-
-
-def _cmd_summarize(args, records, provenance) -> int:
-    from .sweep import GridSpec, sweep_matrix, threshold_share
-    grid = GridSpec(args.beta_min, args.beta_max, args.beta_step)
-    rows = []
-    for record, profile in _profiles(records, args.gamma):
-        for v_over_l in args.v_over_l:
-            summary = threshold_share(sweep_matrix(profile, v_over_l, grid), args.threshold)
-            rows.append((record.country_code, v_over_l, summary.threshold,
-                         summary.share_exceeding))
-    metadata = {
-        "gamma": args.gamma,
-        "v_over_l": list(args.v_over_l),
-        "threshold": args.threshold,
-        "grid": _grid_metadata(grid),
-        **provenance,
-    }
-    _write_table(args.output, args.format, "summarize", SUMMARY_FIELDS, rows, metadata)
-    return EXIT_OK
-
-
-def _cmd_audit(args, records, provenance) -> int:
-    from .oracle import OracleConfig, brute_force_optimum
-    config = OracleConfig(grid_points=args.grid_points, refine=not args.no_refine)
-    rows = []
-    for record, profile in _profiles(records, args.gamma):
-        for v_over_l in args.v_over_l:
             scenario = Scenario.with_coverage(profile, args.beta_w, args.beta_b, v_over_l)
-            result = solve(profile, scenario)
-            oracle_v, oracle_objective = brute_force_optimum(profile, scenario, config)
-            rows.append((
-                record.country_code, args.beta_w, args.beta_b, v_over_l, result.v_blue_star,
-                oracle_v, result.objective, oracle_objective, result.objective - oracle_objective,
-            ))
-    metadata = {
-        "gamma": args.gamma,
-        "beta_w": args.beta_w,
-        "beta_b": args.beta_b,
-        "v_over_l": list(args.v_over_l),
-        "oracle": {"grid_points": config.grid_points, "refine": config.refine},
-        **provenance,
-    }
-    _write_table(args.output, args.format, "audit", AUDIT_FIELDS, rows, metadata)
-    return EXIT_OK
+            yield record.country_code, v_over_l, profile, scenario, solve(profile, scenario)
 
 
-_HANDLERS = {
-    "calibrate": _cmd_calibrate,
-    "solve": _cmd_solve,
-    "frontier": _cmd_frontier,
-    "sweep": _cmd_sweep,
-    "summarize": _cmd_summarize,
-    "audit": _cmd_audit,
+def _matrices(args, profiles, grid: GridSpec):
+    """Row source of sweep: (country, SweepGrid) per country and stock, solved as read."""
+    from .sweep import sweep_matrix
+    return ((record.country_code, sweep_matrix(profile, v_over_l, grid))
+            for record, profile in profiles for v_over_l in args.v_over_l), {"grid": vars(grid)}
+
+
+def _calibrate_rows(args, profiles, _):
+    return [(record.country_code, record.employment_total, record.telework_share,
+             profile.labor_white, profile.labor_blue, profile.alpha_white, profile.alpha_blue,
+             profile.gamma) for record, profile in profiles], {}
+
+
+def _solve_rows(args, profiles, _):
+    rows = [(country, args.beta_w, args.beta_b, v_over_l, result.v_blue_star,
+             result.v_blue_star / scenario.vaccines, result.clamp.value, result.objective,
+             result.surplus_blue, result.surplus_white)
+            for country, v_over_l, _, scenario, result in _scenarios(args, profiles)]
+    return rows, {"degenerate_rows": sum(row[6] == Clamp.DEGENERATE.value for row in rows)}
+
+
+def _frontier_rows(args, profiles, grid: GridSpec):
+    from .sweep import frontier_sweep
+    return ((record.country_code, frontier_sweep(profile, beta_w, v_over_l, grid))
+            for record, profile in profiles
+            for v_over_l in args.v_over_l for beta_w in args.beta_w), {"grid": vars(grid)}
+
+
+def _summarize_rows(args, profiles, grid: GridSpec):
+    from .sweep import threshold_share
+    return [(country, sweep.v_over_l, args.threshold,
+             threshold_share(sweep, args.threshold).share_exceeding)
+            for country, sweep in _matrices(args, profiles, grid)[0]], {"grid": vars(grid)}
+
+
+def _audit_rows(args, profiles, config):
+    from .oracle import brute_force_optimum
+    rows = []
+    for country, v_over_l, profile, scenario, result in _scenarios(args, profiles):
+        oracle_v, oracle_objective = brute_force_optimum(profile, scenario, config)
+        rows.append((country, args.beta_w, args.beta_b, v_over_l, result.v_blue_star, oracle_v,
+                     result.objective, oracle_objective, result.objective - oracle_objective))
+    return rows, {"oracle": vars(config)}
+
+
+# command -> (CSV columns, row source, metadata keys after "gamma").  A row
+# source maps (args, profiles, grid or oracle config) to its rows, which are
+# (country, SweepGrid) lattices under SWEEP_FIELDS, and the metadata it computed.
+# Other keys show their flag (json writes a tuple as a list); _write_lattices counts
+# degenerate_rows.
+_SPECS = {
+    "calibrate": (("country", "employment", "telework_share", "labor_white", "labor_blue",
+                   "alpha_white", "alpha_blue", "gamma"), _calibrate_rows, ()),
+    "solve": (("country", "beta_w", "beta_b", "v_over_l", "v_blue_star", "v_ratio", "clamp",
+               "objective", "surplus_blue", "surplus_white"), _solve_rows,
+              ("beta_w", "beta_b", "v_over_l", "degenerate_rows")),
+    "frontier": (SWEEP_FIELDS, _frontier_rows, ("beta_w", "v_over_l", "grid", "degenerate_rows")),
+    "sweep": (SWEEP_FIELDS, _matrices, ("v_over_l", "grid")),
+    "summarize": (("country", "v_over_l", "threshold", "share_exceeding"), _summarize_rows,
+                  ("v_over_l", "threshold", "grid")),
+    "audit": (("country", "beta_w", "beta_b", "v_over_l", "v_blue_star", "oracle_v_blue",
+               "objective", "oracle_objective", "gap"), _audit_rows,
+              ("beta_w", "beta_b", "v_over_l", "oracle")),
 }
+
+
+def _run(args, records, provenance) -> int:
+    fields, row_source, keys = _SPECS[args.command]
+    setting = None  # checked before the economies are calibrated
+    if "grid" in keys:
+        from .sweep import GridSpec
+        setting = GridSpec(args.beta_min, args.beta_max, args.beta_step)
+    elif "oracle" in keys:
+        from .oracle import OracleConfig
+        setting = OracleConfig(grid_points=args.grid_points, refine=not args.no_refine)
+    profiles = [(record, calibrate(record, args.gamma)) for record in records]
+    if fields == SWEEP_FIELDS:  # each lattice's stock and first risk row, before any is written
+        for _, profile in profiles:
+            for v_over_l in args.v_over_l:
+                for beta_w in getattr(args, "beta_w", (setting.beta_min,)):
+                    Scenario.with_coverage(profile, beta_w, setting.beta_min, v_over_l)
+    rows, computed = row_source(args, profiles, setting)
+    values = {**vars(args), "degenerate_rows": None, **computed}
+    metadata = {"gamma": args.gamma, **{key: values[key] for key in keys}, **provenance}
+    if fields != SWEEP_FIELDS:
+        _write_table(args.output, args.format, args.command, fields, rows, metadata)
+    elif getattr(args, "out_dir", None) is None:
+        _write_lattices(args.output, args.format, args.command, rows, metadata)
+    else:
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for country, sweep in rows:
+            _write_lattices(out_dir / f"sweep_{country}_{sweep.v_over_l!r}.{args.format}",
+                            args.format, "sweep", [(country, sweep)],
+                            {**metadata, "v_over_l": sweep.v_over_l})
+    return EXIT_OK
 
 
 # Built on the first call to main and reused: parsing leaves it unchanged,
@@ -445,7 +389,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser.parse_args(argv)
         records, provenance = _select_records(args)
-        return _HANDLERS[args.command](args, records, provenance)
+        return _run(args, records, provenance)
     except (UsageError, ModelInputError) as exc:
         print(f"vaxalloc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

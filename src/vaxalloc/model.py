@@ -357,7 +357,8 @@ def solve_arrays(
     numerator = np.asarray(profile.alpha_white * (  # an array even for scalar risks
         (1.0 - beta_white) * profile.gamma * profile.labor_white + white_dose * vaccines
     ) - (1.0 - beta_blue) * profile.alpha_blue * profile.labor_blue)
-    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate cells, patched below
+    # degenerate cells, patched below; a root beyond the float range clamps as in solve
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v_star = np.divide(numerator, leverage, out=numerator)
     all_white = v_star <= 0.0  # masks before the clamp: at V = 0 a root > 0 is AllBlue
     code = np.asarray(v_star >= vaccines).view(np.int8)

@@ -133,11 +133,6 @@ class SweepGrid(_Frozen, eq=False):
         """Full per-cell results, solved lazily on access."""
         return _Cells(self)
 
-    def ratio(self, beta_white: float, beta_blue: float) -> float:
-        """Blue-collar dose share v_blue_star / V for one lattice cell."""
-        i, j = self.beta_white.index(beta_white), self.beta_blue.index(beta_blue)
-        return float(self.v_blue_star[i, j]) / self.vaccines
-
 
 class ThresholdSummary(_Frozen):
     """Share of riskier-blue-collar scenarios above a dose-share cutoff."""

@@ -159,7 +159,8 @@ def test_sweep_writes_one_file_per_country_and_stock(tmp_path, capsys):
     assert code == EXIT_OK
     names = sorted(p.name for p in out_dir.iterdir())
     assert names == ["sweep_XA_0.2.csv", "sweep_XA_0.6.csv"]
-    rows = list(csv.DictReader((out_dir / "sweep_XA_0.2.csv").open()))
+    with (out_dir / "sweep_XA_0.2.csv").open() as handle:
+        rows = list(csv.DictReader(handle))
     assert len(rows) == 19 * 19
     assert {row["country"] for row in rows} == {"XA"}
 
@@ -444,10 +445,11 @@ def _json_document_built_whole(command, lattices, metadata):
     # The document as it was built before JSON output was streamed: every row
     # a dict, one json.dumps over the whole document.
     rows = [{"country": country, "v_over_l": sweep.v_over_l, "beta_w": beta_w,
-             "beta_b": beta_b, "v_ratio": sweep.ratio(beta_w, beta_b),
+             "beta_b": beta_b, "v_ratio": float(sweep.v_blue_star[i, j]) / sweep.vaccines,
              "clamp": sweep.cells[beta_w, beta_b].clamp.value}
             for country, sweep in lattices
-            for beta_w in sweep.beta_white for beta_b in sweep.beta_blue]
+            for i, beta_w in enumerate(sweep.beta_white)
+            for j, beta_b in enumerate(sweep.beta_blue)]
     metadata = {**metadata, "degenerate_rows": sum(row["clamp"] == "Degenerate" for row in rows)}
     document = {"command": command, "metadata": metadata, "rows": rows}
     return (json.dumps(document, indent=2) + "\n").encode("utf-8")

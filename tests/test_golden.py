@@ -45,10 +45,16 @@ CASES = {
     "summarize_json": ["summarize", "--format", "json"],
     "audit_csv": ["audit", "--beta-w", "0.1", "--beta-b", "0.6"],
     "audit_json": ["audit", "--beta-w", "0.1", "--beta-b", "0.6", "--format", "json"],
+    "audit_no_refine_json": ["audit", "--beta-w", "0.1", "--beta-b", "0.6", "--no-refine",
+                             "--grid-points", "1001", "--format", "json"],
+    "frontier_stocks_json": ["frontier", "--beta-w", "0.05,0.25", "--v-over-l", "0.2,0.6",
+                             "--format", "json"],
     # Failures write nothing but one line to stderr, even when an earlier
     # lattice of the same run was valid.
     "frontier_bad_risk": ["frontier", "--beta-w", "0.05,1.5"],
     "sweep_bad_stock": ["sweep", "--v-over-l", "0.2,0"],
+    "solve_bad_stock": ["solve", "--beta-w", "0.1", "--beta-b", "0.6", "--v-over-l", "0.2,1.2"],
+    "summarize_bad_threshold": ["summarize", "--threshold", "1.5"],
     "sweep_bad_gamma": ["sweep", "--gamma", "1.5"],
     "sweep_output_missing_dir": ["sweep", "--output", "{out}/missing/sweep.csv"],
     "sweep_output_is_dir": ["sweep", "--output", "{out}"],

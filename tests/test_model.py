@@ -298,8 +298,6 @@ _RISK = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 _SIZE = st.floats(min_value=5e-324, max_value=1e6)  # subnormals included
 
 
-# An uncalibrated profile can overflow the root to inf, which both paths clamp alike.
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(
     labor=st.tuples(_SIZE, _SIZE),
@@ -318,6 +316,9 @@ _SIZE = st.floats(min_value=5e-324, max_value=1e6)  # subnormals included
 # degenerate cells at gamma = 1, and a stock 5e-324 * L that underflows to 0
 @example(labor=(0.25, 0.25), alpha=(1.0, 1.0), gamma=1.0,
          beta_white=[0.0, 1.0], beta_blue=[0.0, 1.0], coverage=5e-324)
+# an uncalibrated profile whose root overflows to inf: AllBlue, with no warning on either path
+@example(labor=(2.0, 1.0), alpha=(1.0, 1e-300), gamma=1.0,
+         beta_white=[0.0], beta_blue=[1e-10], coverage=0.5 / 3.0)
 def test_solve_arrays_matches_solve_on_random_profiles(
     labor, alpha, gamma, beta_white, beta_blue, coverage
 ):
