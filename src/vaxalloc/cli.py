@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -39,6 +41,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE
 
+# lstat errors that mean "no such file" to pathlib's checks; others are raised.
+_MISSING = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
 DEFAULT_V_OVER_L = (0.2, 0.4, 0.6)
 DEFAULT_BETA_WHITE = (0.05, 0.25)
 DEFAULT_THRESHOLD = 0.66
@@ -57,6 +62,8 @@ class _StdoutClosed(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # set by build_parser: subcommand name -> its parser
+
     def error(self, message):  # keep argparse from calling sys.exit(2)
         raise UsageError(message)
 
@@ -134,7 +141,22 @@ def build_parser() -> _Parser:
     p.add_argument("--no-refine", action="store_true",
                    help="skip the golden-section refinement pass")
 
+    parser.commands = dict(sub.choices)
     return parser
+
+
+def _parse_args(parser: _Parser, argv: Sequence[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, parsing a subcommand's argv with its parser alone.
+
+    When ``argv[0]`` names a subcommand, the full parser would only set
+    ``command`` and hand every later string, options included, to that
+    subparser, whose errors raise as its own.  Anything else (no arguments,
+    help, an unknown name, an option first) goes through the full parser.
+    """
+    subparser = parser.commands.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    return subparser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def _resolve_dataset(args) -> tuple[Path, str]:
@@ -177,7 +199,15 @@ def _opened(path):
             raise _StdoutClosed from None
         return
     target = Path(path)
-    if target.is_symlink() or (target.exists() and not target.is_file()):
+    try:
+        in_place = not stat.S_ISREG(os.lstat(target).st_mode)  # a symlink, device or pipe
+    except OSError as exc:
+        if exc.errno not in _MISSING:
+            raise
+        in_place = False
+    except ValueError:  # a NUL in the name, which pathlib's checks also take as absent
+        in_place = False
+    if in_place:
         with open(target, "w", encoding="utf-8", newline="") as handle:
             yield handle
         return
@@ -387,7 +417,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parse_args(_parser, sys.argv[1:] if argv is None else argv)
         records, provenance = _select_records(args)
         return _run(args, records, provenance)
     except (UsageError, ModelInputError) as exc:

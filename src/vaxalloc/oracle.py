@@ -7,10 +7,11 @@ pins the minimizer to machine precision near the kink.  Used by the test
 suite as an independent check of the closed-form solver and exposed through
 the CLI `audit` subcommand.
 
-The grid is evaluated in fixed blocks of `_BLOCK` points through two reused
-buffers, so no temporary is as large as the grid.  Each point gets the same
-IEEE operations on the same operands as a whole-array evaluation, and the
-blocks' first minima are combined with `np.argmin`, so the first minimum
+The grid is never built whole: each block of `_BLOCK` points is computed
+from its indices, held in a third reused buffer, with the values
+`np.linspace` gives, so no temporary is as large as the grid.  Each point gets the same IEEE
+operations on the same operands as a whole-array evaluation, and the blocks'
+first minima are combined with `np.argmin`, so the first minimum
 (or the first NaN) wins exactly as it would over the whole grid.
 """
 
@@ -22,11 +23,12 @@ from .model import EconomyProfile, ModelInputError, Scenario, _Frozen, _check_pa
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Largest search grid accepted: ten times the default, one 8 MB grid array.
+# Largest search grid accepted: ten times the default.
 MAX_ORACLE_POINTS = 1_000_001
 
-# Points evaluated per block: a 64 KiB buffer, below glibc's 128 KiB mmap
-# threshold, so the buffers come from the heap and not fresh pages.
+# Points evaluated per block: 64 KiB buffers, below glibc's 128 KiB mmap
+# threshold, so the buffers come from the heap and not fresh pages.  32,768
+# points passed it and ran slower in a CLI process.
 _BLOCK = 8192
 
 
@@ -81,21 +83,42 @@ def brute_force_optimum(
 
     import numpy as np
 
-    grid = np.linspace(0.0, vaccines, config.grid_points)
+    # The grid is np.linspace(0.0, vaccines, n) point for point, built a block
+    # at a time from its indices: i * step, (i / div) * vaccines when the step
+    # underflows to 0, and vaccines itself last.  linspace also adds 0.0, which
+    # changes no value here since every point is >= +0.0.
+    n = config.grid_points
+    div = n - 1
+    step = config.step(vaccines)
+
+    def point(i: int) -> float:
+        if i == div:
+            return vaccines
+        return i / div * vaccines if step == 0.0 else i * step
+
     # |alpha_b * (base_b + beta_b*v) - alpha_w * (base_w + dose_value_w*(V - v))| per point,
     # operation by operation in place; swapping the operands of + or * is exact.
     base_b = (1.0 - beta_b) * labor_b
     base_w = (1.0 - beta_w) * gamma * labor_w
-    size = min(_BLOCK, config.grid_points)
-    blue, white = np.empty(size), np.empty(size)
+    size = min(_BLOCK, n)
+    indices, blue, white = np.arange(size, dtype=float), np.empty(size), np.empty(size)
     firsts, minima = [], []
-    for start in range(0, config.grid_points, _BLOCK):
-        points = grid[start:start + _BLOCK]
-        b, w = blue[:len(points)], white[:len(points)]
-        np.multiply(points, beta_b, out=b)
+    for start in range(0, n, _BLOCK):
+        count = min(_BLOCK, n - start)
+        i, b, w = indices[:count], blue[:count], white[:count]
+        if start:
+            i += _BLOCK  # integers, exact as doubles far beyond the cap
+        if step == 0.0:
+            np.divide(i, div, out=b)
+            b *= vaccines
+        else:
+            np.multiply(i, step, out=b)
+        if start + count == n:
+            b[-1] = vaccines
+        np.subtract(vaccines, b, out=w)
+        b *= beta_b
         b += base_b
         b *= alpha_b
-        np.subtract(vaccines, points, out=w)
         w *= dose_value_w
         w += base_w
         w *= alpha_w
@@ -106,12 +129,12 @@ def brute_force_optimum(
         minima.append(b[first])
     block = int(np.argmin(minima))  # first block holding the grid's first minimum (or NaN)
     index = firsts[block]
-    best_v = float(grid[index])
+    best_v = point(index)
     best_value = float(minima[block])
 
     if config.refine:
-        low = float(grid[max(index - 1, 0)])
-        high = float(grid[min(index + 1, config.grid_points - 1)])
+        low = point(max(index - 1, 0))
+        high = point(min(index + 1, div))
         refined_v = _golden_section(objective_at, low, high, config.refined_step(vaccines))
         refined_value = objective_at(refined_v)
         if refined_value < best_value or (refined_value == best_value and refined_v < best_v):

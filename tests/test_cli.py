@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -8,10 +9,11 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vaxalloc import (
     Clamp,
@@ -585,3 +587,122 @@ def test_closed_output_fifo_is_a_data_error(tmp_path):
             os.close(reader)
         proc.kill()
         proc.stderr.close()
+
+
+def test_output_name_the_system_rejects_is_a_data_error_naming_it(tmp_path, capsys):
+    # lstat fails with an error other than "no such file": reported as such,
+    # naming the file asked for, and nothing is left behind.
+    target = tmp_path / ("a" * 300)
+    code, out, err = run_cli(["calibrate", "--output", str(target)], capsys)
+    assert (code, out) == (EXIT_DATA, "")
+    strerror = os.strerror(errno.ENAMETOOLONG)
+    assert err == f"vaxalloc: data error: [Errno {errno.ENAMETOOLONG}] {strerror}: {str(target)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["vaxalloc", "calibrate", "--country", "XB"])
+    code, out, _ = run_cli(None, capsys)
+    assert code == EXIT_OK
+    assert [row["country"] for row in read_csv(out)] == ["XB"]
+
+
+HELP = Path(__file__).parent / "golden" / "help"
+_COMMANDS = ["calibrate", "solve", "frontier", "sweep", "summarize", "audit"]
+
+
+@pytest.mark.parametrize("command", ["vaxalloc", *_COMMANDS])
+def test_help_text_is_unchanged(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    argv = ["--help"] if command == "vaxalloc" else [command, "--help"]
+    with redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert out.getvalue().encode("utf-8") == (HELP / f"{command}.txt").read_bytes()
+
+
+def _parse_outcome(parse, argv):
+    """What parsing argv gives: the namespace's repr, the usage error or the exit, and stdout."""
+    with redirect_stdout(io.StringIO()) as out:
+        try:
+            outcome = ("namespace", repr(vars(parse(argv))))
+        except cli.UsageError as exc:
+            outcome = ("usage error", str(exc))
+        except SystemExit as exc:
+            outcome = ("exit", exc.code)
+    return outcome, out.getvalue()
+
+
+_OPTIONS = [
+    "--input", "--gamma", "--country", "--format", "--output", "--beta-min", "--beta-max",
+    "--beta-step", "--beta-w", "--beta-b", "--v-over-l", "--workers", "--out-dir",
+    "--threshold", "--grid-points", "--no-refine", "-h", "--help",
+    # abbreviations, unique in some subcommands and ambiguous in others
+    "--in", "--gam", "--co", "--fo", "--out", "--o", "--beta", "--beta-m", "--beta-w=",
+    "--v", "--w", "--th", "--gr", "--no", "--he", "--nosuch", "-x", "-", "--",
+]
+_VALUES = ["nan", "-1", "-0.0", "1e308", "1e-320", "x", "", "0.3", "XA", "json", "0.2,0.4",
+           "1,x", "100001", "inf"]
+_TOKEN = st.one_of(
+    st.sampled_from(_OPTIONS),
+    st.sampled_from(_VALUES),
+    st.builds("{}={}".format, st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)),
+)
+_FULL_PARSER, _ROUTED_PARSER = cli.build_parser(), cli.build_parser()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(argv=st.one_of(
+    st.builds(lambda name, rest: [name, *rest],
+              st.sampled_from(_COMMANDS + ["nosuch", "", "sol", "Solve", "solve "]),
+              st.lists(_TOKEN, max_size=8)),
+    st.lists(_TOKEN, max_size=4),
+))
+@example(argv=[])
+@example(argv=["-h"])
+@example(argv=["nosuch"])
+@example(argv=["--gamma", "0.5", "solve"])
+@example(argv=["solve", "--help"])
+@example(argv=["solve", "--beta", "0.1", "--beta-b", "0.3"])
+@example(argv=["solve", "--beta-w", "0.1", "--beta-b", "0.3", "extra"])
+@example(argv=["sweep", "--", "--workers", "2"])
+@example(argv=["audit", "--beta-w=-1", "--beta-b", "-0.0", "--no-refine", "--grid-points", "x"])
+def test_subcommand_argv_parses_as_the_full_parser_would(argv):
+    routed = _parse_outcome(lambda a: cli._parse_args(_ROUTED_PARSER, a), argv)
+    assert routed == _parse_outcome(_FULL_PARSER.parse_args, argv)
+
+
+_FIELD = st.one_of(
+    st.sampled_from(["XA", "XB", "\u00c4\u00d6", "X", "XAA", "", " XC ", "nan", "inf", "-1",
+                     "0", "0.5", "1e308", "5e-324", "1e-320", "1_000", '"X,A"', '"',
+                     "\ufeff", "\x00"]),
+    st.text(max_size=6),
+    st.floats().map(repr),
+)
+_DATASET_TEXT = st.builds(
+    lambda header, rows, end: header + end.join(rows) + end,
+    st.sampled_from(["country,employment,telework_share\n", " country , employment,"
+                     "telework_share\r\n", "\ufeffcountry,employment,telework_share\n",
+                     "country,employment\n", "\n", ""]),
+    st.lists(st.lists(_FIELD, max_size=4).map(",".join), max_size=4),
+    st.sampled_from(["\n", "\r\n", "\r", ""]),
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.one_of(
+    st.binary(max_size=200),
+    st.builds(lambda text, encoding: text.encode(encoding, errors="replace"),
+              _DATASET_TEXT, st.sampled_from(["utf-8", "latin-1", "utf-16"])),
+))
+def test_any_dataset_bytes_calibrate_or_exit_two_with_one_line(data, tmp_path_factory):
+    dataset = tmp_path_factory.mktemp("fuzz") / "countries.csv"
+    dataset.write_bytes(data)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(["calibrate", "--input", str(dataset)])  # a traceback fails the test
+    assert code in (EXIT_OK, EXIT_DATA)
+    if code == EXIT_DATA:
+        assert err.getvalue().startswith("vaxalloc: data error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""

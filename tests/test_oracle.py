@@ -177,6 +177,19 @@ def test_blocked_grid_keeps_first_nan_of_an_overflowing_profile(refine):
     assert v_blue == 1.7977e307 and math.isnan(value)
 
 
+@pytest.mark.parametrize("refine", [False, True])
+def test_blocked_grid_equals_whole_array_when_the_step_underflows(refine):
+    # V / (grid_points - 1) == 0, so linspace takes its subnormal branch and
+    # point i is (i / div) * V.  The root sits at V / 2, so a grid of zeros
+    # (i * step) would return 0.0 instead.
+    profile = EconomyProfile(60.0, 40.0, 1.0, 1.0, 1.0)
+    scenario = Scenario(1.0, 1.0, 1e-320)
+    config = OracleConfig(100_001, refine)
+    assert config.step(scenario.vaccines) == 0.0
+    v_blue, value = _assert_same_as_whole_array(profile, scenario, config)
+    assert v_blue == 5e-321 and value == 0.0
+
+
 @settings(max_examples=50, deadline=None, database=None)
 @given(
     labor=st.tuples(st.floats(1.0, 1e9), st.floats(1.0, 1e9)),
@@ -194,10 +207,10 @@ def test_blocked_grid_equals_whole_array_property(labor, alpha, gamma, betas, co
     _assert_same_as_whole_array(profile, scenario, OracleConfig(points, refine))
 
 
-@pytest.mark.parametrize("points, limit_mib", [(100_001, 1.5), (MAX_ORACLE_POINTS, 12.0)])
-def test_oracle_allocates_no_grid_sized_temporaries(points, limit_mib, example_profile):
-    # The grid itself is 0.76 MiB at 100,001 points and 7.6 MiB at the cap; the
-    # whole-array evaluation peaked at 3.82 and 38.15 MiB.
+@pytest.mark.parametrize("points", [100_001, MAX_ORACLE_POINTS])
+def test_oracle_allocates_no_grid_sized_temporaries(points, example_profile):
+    # The grid would be 0.76 MiB at 100,001 points and 7.6 MiB at the cap; the
+    # oracle holds three 64 KiB block buffers instead, about 0.25 MiB at any size.
     scenario = Scenario(0.05, 0.3, 20.0)
     config = OracleConfig(points)
     brute_force_optimum(example_profile, scenario, config)
@@ -207,4 +220,4 @@ def test_oracle_allocates_no_grid_sized_temporaries(points, limit_mib, example_p
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < limit_mib * 2**20
+    assert peak < 0.5 * 2**20
