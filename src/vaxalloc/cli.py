@@ -18,7 +18,7 @@ import errno
 import os
 import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -75,6 +75,12 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+def _path(text: str) -> str:
+    if "\x00" in text:  # no system call accepts it; open would raise ValueError
+        raise argparse.ArgumentTypeError(f"path contains a NUL byte: {text!r}")
+    return text
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="vaxalloc",
@@ -84,6 +90,7 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument(
         "--input",
+        type=_path,
         metavar="PATH",
         help=f"country CSV (default: ${DATASET_ENV_VAR} or the built-in synthetic dataset)",
     )
@@ -92,7 +99,7 @@ def build_parser() -> _Parser:
     common.add_argument("--country", metavar="CODE", help="restrict to one country code")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default %(default)s)")
-    common.add_argument("--output", metavar="PATH", default="-",
+    common.add_argument("--output", type=_path, metavar="PATH", default="-",
                         help="output file, '-' for standard output (default)")
 
     grid = _Parser(add_help=False)
@@ -123,7 +130,7 @@ def build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=1,
                    help="accepted and ignored: each matrix is solved as one array "
                    "computation")
-    p.add_argument("--out-dir", metavar="DIR",
+    p.add_argument("--out-dir", type=_path, metavar="DIR",
                    help="write one file per (country, v_over_l) here instead of --output")
 
     p = sub.add_parser("summarize", parents=[common, grid],
@@ -205,8 +212,6 @@ def _opened(path):
         if exc.errno not in _MISSING:
             raise
         in_place = False
-    except ValueError:  # a NUL in the name, which pathlib's checks also take as absent
-        in_place = False
     if in_place:
         with open(target, "w", encoding="utf-8", newline="") as handle:
             yield handle
@@ -217,7 +222,8 @@ def _opened(path):
             yield handle
         os.replace(temp, target)
     except BaseException as exc:
-        temp.unlink(missing_ok=True)
+        with suppress(OSError):  # e.g. ENOTDIR when open failed: keep open's error
+            temp.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.filename == str(temp):  # name the file asked for
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise

@@ -7,12 +7,14 @@ pins the minimizer to machine precision near the kink.  Used by the test
 suite as an independent check of the closed-form solver and exposed through
 the CLI `audit` subcommand.
 
-The grid is never built whole: each block of `_BLOCK` points is computed
-from its indices, held in a third reused buffer, with the values
-`np.linspace` gives, so no temporary is as large as the grid.  Each point gets the same IEEE
-operations on the same operands as a whole-array evaluation, and the blocks'
-first minima are combined with `np.argmin`, so the first minimum
-(or the first NaN) wins exactly as it would over the whole grid.
+The grid is never built whole: each block of `_BLOCK` (16,000) points is
+computed from its indices, held in a third reused buffer, with the values
+`np.linspace` gives, so no temporary is as large as the grid: three 125 KiB
+buffers at any grid size.  Each point gets the same IEEE operations on the
+same operands as a whole-array evaluation, and the blocks' first minima are
+combined with `np.argmin`, so the first minimum (or the first NaN) wins
+exactly as it would over the whole grid.  The refinement reuses the grid's
+no-dose labor terms, which round as the full expression does.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Largest search grid accepted: ten times the default.
 MAX_ORACLE_POINTS = 1_000_001
 
-# Points evaluated per block: 64 KiB buffers, below glibc's 128 KiB mmap
-# threshold, so the buffers come from the heap and not fresh pages.  32,768
-# points passed it and ran slower in a CLI process.
-_BLOCK = 8192
+# Points evaluated per block: three float64 buffers of 125 KiB, below glibc's
+# 128 KiB mmap threshold, so they come from the heap and not fresh pages, in
+# as few numpy calls as that allows.  Per default refined call on a shared
+# 2-vCPU VM (Python 3.11, numpy 2.4): 8,192 points 582 us, 12,000 513 us,
+# 16,000 488 us, 16,376 502 us; 32,768 passed the threshold and took 820 us.
+_BLOCK = 16_000
 
 
 class OracleConfig(_Frozen):
@@ -72,10 +76,14 @@ def brute_force_optimum(
     labor_b, labor_w = profile.labor_blue, profile.labor_white
     alpha_b, alpha_w = profile.alpha_blue, profile.alpha_white
     dose_value_w = 1.0 - gamma * (1.0 - beta_w)
+    # Effective labor with no doses.  Each product is rounded before the sum,
+    # so base + beta * v rounds as the whole expression does.
+    base_b = (1.0 - beta_b) * labor_b
+    base_w = (1.0 - beta_w) * gamma * labor_w
 
     def objective_at(v_blue: float) -> float:
-        eff_b = (1.0 - beta_b) * labor_b + beta_b * v_blue
-        eff_w = (1.0 - beta_w) * gamma * labor_w + dose_value_w * (vaccines - v_blue)
+        eff_b = base_b + beta_b * v_blue
+        eff_w = base_w + dose_value_w * (vaccines - v_blue)
         return abs(alpha_b * eff_b - alpha_w * eff_w)
 
     if vaccines == 0.0:
@@ -98,8 +106,6 @@ def brute_force_optimum(
 
     # |alpha_b * (base_b + beta_b*v) - alpha_w * (base_w + dose_value_w*(V - v))| per point,
     # operation by operation in place; swapping the operands of + or * is exact.
-    base_b = (1.0 - beta_b) * labor_b
-    base_w = (1.0 - beta_w) * gamma * labor_w
     size = min(_BLOCK, n)
     indices, blue, white = np.arange(size, dtype=float), np.empty(size), np.empty(size)
     firsts, minima = [], []

@@ -600,6 +600,31 @@ def test_output_name_the_system_rejects_is_a_data_error_naming_it(tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
+def test_output_under_a_regular_file_is_a_data_error_naming_it(tmp_path, capsys):
+    # Opening the temporary sibling fails with ENOTDIR, and so does removing
+    # it afterwards; the open error, renamed to the target, is the one shown.
+    parent = tmp_path / "afile"
+    parent.write_bytes(b"")
+    target = parent / "x"
+    code, out, err = run_cli(["calibrate", "--output", str(target)], capsys)
+    assert (code, out) == (EXIT_DATA, "")
+    strerror = os.strerror(errno.ENOTDIR)
+    assert err == f"vaxalloc: data error: [Errno {errno.ENOTDIR}] {strerror}: {str(target)!r}\n"
+    assert list(tmp_path.iterdir()) == [parent]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("calibrate", "--input"), ("calibrate", "--output"), ("sweep", "--out-dir"),
+])
+def test_nul_byte_in_a_path_is_a_usage_error_naming_the_flag(command, flag, tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli([command, "--country", "XA", flag, "a\x00b"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"vaxalloc: error: argument {flag}: path contains a NUL byte: 'a\\x00b'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["vaxalloc", "calibrate", "--country", "XB"])
     code, out, _ = run_cli(None, capsys)
@@ -706,3 +731,58 @@ def test_any_dataset_bytes_calibrate_or_exit_two_with_one_line(data, tmp_path_fa
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
     else:
         assert err.getvalue() == ""
+
+
+# Every numeric flag of each subcommand; the required ones get a valid value
+# first, which a drawn value of the same flag overrides.
+_NUMERIC_FLAGS = {
+    "calibrate": ["--gamma"],
+    "solve": ["--gamma", "--beta-w", "--beta-b", "--v-over-l"],
+    "frontier": ["--gamma", "--beta-min", "--beta-max", "--beta-step", "--beta-w",
+                 "--v-over-l"],
+    "sweep": ["--gamma", "--beta-min", "--beta-max", "--beta-step", "--v-over-l", "--workers"],
+    "summarize": ["--gamma", "--beta-min", "--beta-max", "--beta-step", "--v-over-l",
+                  "--threshold"],
+    "audit": ["--gamma", "--beta-w", "--beta-b", "--v-over-l", "--grid-points"],
+}
+_REQUIRED = {"solve": ["--beta-w", "0.1", "--beta-b", "0.3"],
+             "audit": ["--beta-w", "0.1", "--beta-b", "0.3", "--grid-points", "1001"]}
+# 0.5 is valid for most flags, so a drawn combination also gets past the first check.
+_NUMBERS = ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", "1e-320", "0.5"]
+# The same where int() takes them, and valid grids kept small: at most 10,001 points.
+_GRID_POINTS = ["nan", "inf", "-inf", "0", "-0.0", "-1", "3", "10001"]
+
+
+@st.composite
+def _numeric_argv(draw):
+    command = draw(st.sampled_from(_COMMANDS))
+    flags = draw(st.lists(st.sampled_from(_NUMERIC_FLAGS[command]), min_size=1, max_size=3,
+                          unique=True))
+    argv = [command, "--country", "XA", *_REQUIRED.get(command, [])]
+    for flag in flags:
+        if flag == "--grid-points":
+            value = draw(st.sampled_from(_GRID_POINTS))
+        elif flag == "--v-over-l" or (command, flag) == ("frontier", "--beta-w"):  # lists
+            value = ",".join(draw(st.lists(st.sampled_from(_NUMBERS), min_size=1,
+                                           max_size=2)))
+        else:
+            value = draw(st.sampled_from(_NUMBERS))
+        argv += [f"{flag}={value}"]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(argv=_numeric_argv())
+@example(argv=["audit", "--country", "XA", "--beta-w", "0.1", "--beta-b", "0.3",
+               "--grid-points=1001", "--v-over-l=1e-320"])
+@example(argv=["sweep", "--country", "XA", "--beta-step=1e-320"])
+@example(argv=["summarize", "--country", "XA", "--threshold=nan", "--gamma=1e-320"])
+def test_numeric_flags_exit_0_1_or_2_with_one_line(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(argv)  # a traceback fails the test
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA)
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("vaxalloc: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

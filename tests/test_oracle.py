@@ -15,7 +15,7 @@ from vaxalloc import (
     objective,
     solve,
 )
-from vaxalloc.oracle import MAX_ORACLE_POINTS, _golden_section
+from vaxalloc.oracle import _BLOCK, MAX_ORACLE_POINTS, _golden_section
 
 
 def test_rejects_tiny_grids():
@@ -136,7 +136,8 @@ def _assert_same_as_whole_array(profile, scenario, config):
 
 
 @pytest.mark.parametrize("refine", [False, True])
-@pytest.mark.parametrize("points", [3, 8191, 8192, 8193, 16385, 100_001, MAX_ORACLE_POINTS])
+@pytest.mark.parametrize("points", [3, 8191, 8192, 8193, 16385, 100_001, MAX_ORACLE_POINTS,
+                                    _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
 def test_blocked_grid_equals_whole_array(points, refine, example_profile):
     for scenario in (Scenario(0.05, 0.3, 20.0), Scenario(0.17, 0.42, 33.0)):
         _assert_same_as_whole_array(example_profile, scenario, OracleConfig(points, refine))
@@ -148,12 +149,14 @@ def test_blocked_grid_equals_whole_array_at_the_ends_and_a_block_edge(refine, ex
     for scenario, v_blue in ((Scenario(0.9, 0.05, 20.0), 0.0), (Scenario(0.05, 0.9, 20.0), 20.0)):
         config = OracleConfig(20_001, refine)
         assert _assert_same_as_whole_array(example_profile, scenario, config)[0] == v_blue
-    # Step 1.0 and the root at v = 8192: the first point of the second block.
+    # Step 1.0 and the root at v = 0.4 V: at 8192, and at _BLOCK, the first
+    # point of the second block (which 8192 also was, with 8,192-point blocks).
     profile = EconomyProfile(60_000.0, 40_000.0, 1.0, 1.5, 1.0)
-    v_blue, _ = _assert_same_as_whole_array(profile, Scenario(0.2, 0.2, 20_480.0),
-                                            OracleConfig(20_481, refine))
-    if not refine:
-        assert v_blue == 8192.0
+    for root in (8192, _BLOCK):
+        v_blue, _ = _assert_same_as_whole_array(profile, Scenario(0.2, 0.2, 2.5 * root),
+                                                OracleConfig(int(2.5 * root) + 1, refine))
+        if not refine:
+            assert v_blue == root
 
 
 @pytest.mark.parametrize("refine", [False, True])
@@ -207,10 +210,17 @@ def test_blocked_grid_equals_whole_array_property(labor, alpha, gamma, betas, co
     _assert_same_as_whole_array(profile, scenario, OracleConfig(points, refine))
 
 
+def test_block_buffers_stay_below_the_mmap_threshold():
+    # glibc serves requests of 128 KiB and up with fresh mmap pages; the three
+    # block buffers must come from the heap.
+    assert _BLOCK * 8 < 128 * 1024
+
+
 @pytest.mark.parametrize("points", [100_001, MAX_ORACLE_POINTS])
 def test_oracle_allocates_no_grid_sized_temporaries(points, example_profile):
     # The grid would be 0.76 MiB at 100,001 points and 7.6 MiB at the cap; the
-    # oracle holds three 64 KiB block buffers instead, about 0.25 MiB at any size.
+    # oracle holds three 125 KiB block buffers instead, a traced peak of about
+    # 0.37 MiB at any size.
     scenario = Scenario(0.05, 0.3, 20.0)
     config = OracleConfig(points)
     brute_force_optimum(example_profile, scenario, config)
