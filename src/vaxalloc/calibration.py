@@ -10,7 +10,10 @@ The package ships a small synthetic dataset (telework shares 0.30-0.55,
 country codes in the user-assigned XA..XZ range) purely for illustration
 and reproducible tests; real data is supplied by the user in the same CSV
 format: header ``country,employment,telework_share``, comma separated,
-UTF-8 without a byte-order mark, plain decimal points.
+UTF-8 without a byte-order mark, plain decimal points.  A country code is
+two code points that are both letters (``str.isalpha``), such as ``SE`` or
+``ÄÖ``; codes are not normalized, so a letter written as a base letter plus
+a combining mark is refused.
 """
 
 from __future__ import annotations

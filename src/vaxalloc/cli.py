@@ -317,9 +317,9 @@ def _scenarios(args, profiles):
 
 def _matrices(args, profiles, grid: GridSpec):
     """Row source of sweep: (country, SweepGrid) per country and stock, solved as read."""
-    from .sweep import sweep_matrix
-    return ((record.country_code, sweep_matrix(profile, v_over_l, grid))
-            for record, profile in profiles for v_over_l in args.v_over_l), {"grid": vars(grid)}
+    from .sweep import sweep_matrices
+    return ((record.country_code, sweep) for record, profile in profiles
+            for sweep in sweep_matrices(profile, args.v_over_l, grid)), {"grid": vars(grid)}
 
 
 def _calibrate_rows(args, profiles, _):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -331,12 +331,8 @@ def solve(profile: EconomyProfile, scenario: Scenario) -> AllocationResult:
     )
 
 
-def solve_arrays(
-    profile: EconomyProfile,
-    beta_white: np.ndarray | float,
-    beta_blue: np.ndarray | float,
-    vaccines: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def solve_arrays(profile: EconomyProfile, beta_white: np.ndarray | float,
+                 beta_blue: np.ndarray | float, vaccines: float) -> tuple[np.ndarray, np.ndarray]:
     """Optimal blue-collar doses and clamp codes for many risk pairs at once.
 
     ``beta_white`` and ``beta_blue`` broadcast against each other; the result
@@ -344,33 +340,52 @@ def solve_arrays(
     ``CLAMPS[clamp_code]`` is the branch.  The arithmetic follows
     ``interior_optimum`` and ``solve`` operation for operation, so every
     element equals ``solve(profile, Scenario(bw, bb, vaccines))`` bit for
-    bit.  The root is clamped in place, and degenerate cells are patched only
-    when some exist.  Nothing is validated here: pass risks in [0, 1] and a
-    stock in [0, L), as ``GridSpec`` and ``Scenario.with_coverage`` guarantee.
+    bit.  Nothing is validated here: pass risks in [0, 1] and a stock in
+    [0, L), as ``GridSpec`` and ``Scenario.with_coverage`` guarantee.
+    """
+    return stock_solver(profile, beta_white, beta_blue)(vaccines)
+
+
+def stock_solver(profile: EconomyProfile, beta_white: np.ndarray | float,
+                 beta_blue: np.ndarray | float) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+    """``solve_arrays`` in two stages, to solve one lattice at many stocks.
+
+    This call runs the first stage, which does not depend on the stock: the
+    leverage, the no-dose terms, the white dose value and the degenerate cells.
+    The returned function runs the second per stock V, reading those arrays
+    only, and matches ``solve_arrays(profile, beta_white, beta_blue, V)`` bit for bit.
     """
     import numpy as np
 
-    beta_white = np.asarray(beta_white, dtype=float)
-    beta_blue = np.asarray(beta_blue, dtype=float)
+    beta_white, beta_blue = np.asarray(beta_white, dtype=float), np.asarray(beta_blue, dtype=float)
     white_dose = 1.0 - profile.gamma * (1.0 - beta_white)
-    leverage = profile.alpha_blue * beta_blue + profile.alpha_white * white_dose
-    numerator = np.asarray(profile.alpha_white * (  # an array even for scalar risks
-        (1.0 - beta_white) * profile.gamma * profile.labor_white + white_dose * vaccines
-    ) - (1.0 - beta_blue) * profile.alpha_blue * profile.labor_blue)
-    # degenerate cells, patched below; a root beyond the float range clamps as in solve
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v_star = np.divide(numerator, leverage, out=numerator)
-    all_white = v_star <= 0.0  # masks before the clamp: at V = 0 a root > 0 is AllBlue
-    code = np.asarray(v_star >= vaccines).view(np.int8)
-    code += _INTERIOR  # AllBlue where the root is >= V
-    code[all_white] = _ALL_WHITE
-    np.minimum(v_star, vaccines, out=v_star)
-    v_star[all_white] = 0.0
-    if not leverage.all():  # some cell has leverage == 0: no dose moves anything
-        degenerate = leverage == 0.0
-        v_star[degenerate] = vaccines * profile.labor_blue / profile.total_labor
-        code[degenerate] = _DEGENERATE
-    return v_star, code
+    blue_term = profile.alpha_blue * beta_blue
+    white_term = profile.alpha_white * white_dose
+    leverage = blue_term + white_term
+    no_dose_white = (1.0 - beta_white) * profile.gamma * profile.labor_white
+    no_dose_blue = (1.0 - beta_blue) * profile.alpha_blue * profile.labor_blue
+    # Both terms are >= 0, so their rounded sum is 0 only where both are: the
+    # exact mask is needed only when each term has a zero somewhere.
+    degenerate = None if blue_term.all() or white_term.all() else leverage == 0.0
+
+    def solve_stock(vaccines: float) -> tuple[np.ndarray, np.ndarray]:
+        numerator = np.asarray(  # an array even for scalar risks
+            profile.alpha_white * (no_dose_white + white_dose * vaccines) - no_dose_blue)
+        # degenerate cells, patched below; a root beyond the float range clamps as in solve
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v_star = np.divide(numerator, leverage, out=numerator)
+        all_white = v_star <= 0.0  # masks before the clamp: at V = 0 a root > 0 is AllBlue
+        code = np.asarray(v_star >= vaccines).view(np.int8)
+        code += _INTERIOR  # AllBlue where the root is >= V
+        code[all_white] = _ALL_WHITE
+        np.minimum(v_star, vaccines, out=v_star)
+        v_star[all_white] = 0.0
+        if degenerate is not None:  # leverage == 0: no dose moves anything
+            v_star[degenerate] = vaccines * profile.labor_blue / profile.total_labor
+            code[degenerate] = _DEGENERATE
+        return v_star, code
+
+    return solve_stock
 
 
 def unemployment(

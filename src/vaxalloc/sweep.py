@@ -6,17 +6,17 @@ fixed white-collar risk, full (beta_w, beta_b) allocation matrices at a
 fixed stock level, and threshold summaries counting the above-diagonal
 scenarios (beta_b > beta_w) where the blue-collar share exceeds a cutoff.
 
-Every lattice is solved in one call to the array kernel
-``model.solve_arrays``, which matches the scalar ``solve`` bit for bit, on
-risk axes built once per grid; the per-cell ``AllocationResult`` objects are
-only built when ``SweepGrid.cells`` is read.
+Lattices are solved by the two-stage array kernel ``model.stock_solver``,
+which matches the scalar ``solve`` bit for bit, on risk axes built once per
+grid: one country's lattices at several stocks share its first stage.  The
+``AllocationResult`` objects are only built when ``SweepGrid.cells`` is read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .model import (
     Scenario,
     _Frozen,
     solve,
-    solve_arrays,
+    stock_solver,
 )
 
 # Largest lattice accepted per axis: a 0.0005 step over [0, 1].  A full
@@ -142,29 +142,25 @@ class ThresholdSummary(_Frozen):
     cells_considered: int
 
 
-def _solve_lattice(
-    profile: EconomyProfile,
-    beta_white: tuple[float, ...],
-    v_over_l: float,
-    grid: GridSpec,
-) -> SweepGrid:
+def sweep_matrices(profile: EconomyProfile, stocks: Iterable[float], grid: GridSpec = GridSpec(),
+                   beta_white: tuple[float, ...] | None = None) -> Iterator[SweepGrid]:
+    """Solve every lattice cell at each stock level, one ``SweepGrid`` per stock.
+
+    ``beta_white`` replaces the grid as the white-collar axis (a frontier's row).
+    All stocks are validated before any lattice is solved.  The lattices share
+    the kernel's first stage, which lives only while the generator runs.
+    """
     beta_blue = grid.values()
-    # Building the first cell's scenario validates the coverage and the first
+    beta_white = beta_blue if beta_white is None else beta_white
+    # Building each stock's first scenario validates the coverage and the first
     # white-collar risk; the lattice itself was validated by GridSpec.
-    vaccines = Scenario.with_coverage(profile, beta_white[0], beta_blue[0], v_over_l).vaccines
-    v_blue_star, clamp = solve_arrays(
-        profile, np.asarray(beta_white)[:, None], np.asarray(beta_blue)[None, :], vaccines
-    )
-    return SweepGrid(
-        spec=grid,
-        v_over_l=v_over_l,
-        vaccines=vaccines,
-        profile=profile,
-        beta_white=beta_white,
-        beta_blue=beta_blue,
-        v_blue_star=v_blue_star,
-        clamp=clamp,
-    )
+    stocks = [(v_over_l, Scenario.with_coverage(profile, beta_white[0], beta_blue[0],
+                                                v_over_l).vaccines) for v_over_l in stocks]
+    solve_stock = stock_solver(profile, np.asarray(beta_white)[:, None],
+                               np.asarray(beta_blue)[None, :])
+    for v_over_l, vaccines in stocks:
+        yield SweepGrid(grid, v_over_l, vaccines, profile, beta_white, beta_blue,
+                        *solve_stock(vaccines))
 
 
 def frontier_sweep(
@@ -174,21 +170,7 @@ def frontier_sweep(
     grid: GridSpec = GridSpec(),
 ) -> SweepGrid:
     """One-row sweep: every lattice blue-collar risk at a fixed white-collar risk."""
-    return _solve_lattice(profile, (beta_white,), v_over_l, grid)
-
-
-def frontier_curve(
-    profile: EconomyProfile,
-    beta_white: float,
-    v_over_l: float,
-    grid: GridSpec = GridSpec(),
-) -> list[tuple[float, float]]:
-    """Optimal dose share against blue-collar risk at a fixed white-collar risk.
-
-    Returns one (beta_blue, v_blue_star / V) point per lattice value.
-    """
-    row = frontier_sweep(profile, beta_white, v_over_l, grid)
-    return list(zip(row.beta_blue, (row.v_blue_star[0] / row.vaccines).tolist()))
+    return next(sweep_matrices(profile, (v_over_l,), grid, (beta_white,)))
 
 
 def sweep_matrix(
@@ -197,12 +179,12 @@ def sweep_matrix(
     grid: GridSpec = GridSpec(),
     workers: int = 1,
 ) -> SweepGrid:
-    """Solve every lattice cell at a fixed stock level.
+    """Solve every lattice cell at a fixed stock level: ``sweep_matrices`` for one stock.
 
     ``workers`` is accepted for compatibility and ignored: the whole lattice
     is one array computation.
     """
-    return _solve_lattice(profile, grid.values(), v_over_l, grid)
+    return next(sweep_matrices(profile, (v_over_l,), grid))
 
 
 def threshold_share(sweep: SweepGrid, threshold: float) -> ThresholdSummary:

@@ -19,7 +19,7 @@ from vaxalloc import (
     brute_force_optimum,
     calibrate,
     crossing_point,
-    frontier_curve,
+    frontier_sweep,
     interior_optimum,
     load_countries,
     partials,
@@ -242,8 +242,8 @@ def test_criterion_6_monotonicity_suite():
         slack = 1e-12 * profile.total_labor
 
         beta_white = float(rng.choice(lattice))
-        curve = frontier_curve(profile, beta_white, v_over_l)
-        ratios = [ratio for _, ratio in curve]
+        row = frontier_sweep(profile, beta_white, v_over_l)
+        ratios = (row.v_blue_star[0] / row.vaccines).tolist()
         assert all(b - a >= -1e-12 for a, b in zip(ratios, ratios[1:]))
 
         beta_blue = float(rng.choice(lattice))

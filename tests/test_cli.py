@@ -21,7 +21,6 @@ from vaxalloc import (
     Scenario,
     builtin_dataset_path,
     calibrate,
-    frontier_curve,
     frontier_sweep,
     load_countries,
     solve,
@@ -91,7 +90,9 @@ def test_frontier_matches_library(capsys):
     rows = read_csv(out)
     record = next(r for r in load_countries(builtin_dataset_path()) if r.country_code == "XA")
     profile = calibrate(record, 0.8)
-    expected = dict(frontier_curve(profile, 0.25, 0.4))
+    frontier = frontier_sweep(profile, 0.25, 0.4)
+    expected = dict(zip(frontier.beta_blue,
+                        (frontier.v_blue_star[0] / frontier.vaccines).tolist()))
     assert len(rows) == 19
     for row in rows:
         assert float(row["v_ratio"]) == expected[float(row["beta_b"])]
@@ -306,6 +307,21 @@ def test_byte_order_mark_exits_two_naming_it(tmp_path, capsys):
     assert (code, out) == (EXIT_DATA, "")
     assert err == ("vaxalloc: data error: row 1: file starts with a UTF-8 byte-order mark "
                    "(U+FEFF); save it as plain UTF-8\n")
+
+
+def test_country_code_is_two_code_points_that_are_letters(tmp_path, capsys):
+    dataset = tmp_path / "codes.csv"
+    dataset.write_text("country,employment,telework_share\nÄÖ,1000,0.4\n", encoding="utf-8")
+    code, out, err = run_cli(["calibrate", "--input", str(dataset), "--country", "ÄÖ"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1].startswith("ÄÖ,")
+    # The same letters decomposed, each followed by a combining diaeresis, are
+    # four code points; codes are not normalized, so this one is refused.
+    dataset.write_text("country,employment,telework_share\nA\u0308O\u0308,1000,0.4\n",
+                       encoding="utf-8")
+    code, out, err = run_cli(["calibrate", "--input", str(dataset)], capsys)
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.startswith("vaxalloc: data error: row 2: country code must be two letters")
 
 
 def _fail_after_one_row(monkeypatch):

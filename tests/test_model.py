@@ -338,6 +338,59 @@ def test_solve_arrays_matches_solve_on_random_profiles(
         assert CLAMPS[code[i, j]] is expected.clamp
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    labor=st.tuples(_SIZE, _SIZE),
+    alpha=st.tuples(_SIZE, _SIZE),
+    gamma=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    beta_white=st.lists(_RISK, min_size=1, max_size=4),
+    beta_blue=st.lists(_RISK, min_size=1, max_size=4),
+    coverage=st.floats(0.0, 1.0, exclude_max=True),
+    paired=st.booleans(),
+    order=st.permutations(range(4)),
+)
+# gamma = 1 with a zero risk on both axes: one degenerate cell, at (0, 0)
+@example(labor=(60.0, 40.0), alpha=(1.0, 1.5), gamma=1.0, beta_white=[0.0, 0.5],
+         beta_blue=[0.0, 1.0], coverage=0.3, paired=False, order=[0, 1, 2, 3])
+# zeros on the white axis only: a zero leverage term, but no degenerate cell
+@example(labor=(60.0, 40.0), alpha=(1.0, 1.5), gamma=1.0, beta_white=[0.0, 0.5],
+         beta_blue=[0.2, 1.0], coverage=0.3, paired=False, order=[3, 2, 1, 0])
+# paired risks whose zero terms fall in different cells: each term has a zero,
+# yet no cell is degenerate
+@example(labor=(60.0, 40.0), alpha=(1.0, 1.5), gamma=1.0, beta_white=[0.0, 0.5],
+         beta_blue=[0.5, 0.0], coverage=0.3, paired=True, order=[1, 3, 0, 2])
+def test_stock_solver_shares_its_first_stage_across_stocks(
+    labor, alpha, gamma, beta_white, beta_blue, coverage, paired, order
+):
+    profile = EconomyProfile(*labor, *alpha, gamma)
+    total = profile.total_labor
+    if paired:  # same-shape arrays, solved cell by cell
+        size = min(len(beta_white), len(beta_blue))
+        pairs = list(zip(beta_white[:size], beta_blue[:size]))
+        white, blue = np.array(beta_white[:size]), np.array(beta_blue[:size])
+    else:
+        pairs = list(itertools.product(beta_white, beta_blue))
+        white, blue = np.array(beta_white)[:, None], np.array(beta_blue)[None, :]
+    candidates = (0.0, 5e-324, coverage * total, 0.999999 * total)
+    stocks = [candidates[i] for i in order if candidates[i] < total]
+    solve_stock = model.stock_solver(profile, white, blue)
+    solved = [(vaccines, *solve_stock(vaccines)) for vaccines in stocks + stocks[:1]]
+    for vaccines, v_star, code in solved:
+        fresh = solve_arrays(profile, white, blue, vaccines)
+        for got, want in zip((v_star, code), fresh):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert np.array_equal(np.signbit(v_star), np.signbit(fresh[0]))
+        for (beta_w, beta_b), got, clamp in zip(pairs, v_star.ravel().tolist(),
+                                                code.ravel().tolist()):
+            expected = solve(profile, Scenario(beta_w, beta_b, vaccines))
+            want = expected.v_blue_star
+            assert got == want or (math.isnan(got) and math.isnan(want))
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            assert CLAMPS[clamp] is expected.clamp
+    # the first stock again, last: solving never wrote the shared arrays
+    assert [a.tobytes() for a in solved[-1][1:]] == [a.tobytes() for a in solved[0][1:]]
+
+
 class TestUnemployment:
     def test_no_vaccine_baseline(self, example_profile):
         breakdown = unemployment(example_profile, Scenario(0.05, 0.3, 0.0), 0.0)

@@ -14,9 +14,10 @@ from vaxalloc import (
     brute_force_optimum,
     calibrate,
     crossing_point,
-    frontier_curve,
+    frontier_sweep,
     load_countries,
     solve,
+    sweep_matrices,
     sweep_matrix,
     threshold_share,
 )
@@ -95,6 +96,11 @@ class TestLatticeCache:
             mask[0, 1] = False
 
 
+def _shares(row):
+    """A frontier's (beta_blue, dose share) points, as the CLI writes them."""
+    return list(zip(row.beta_blue, (row.v_blue_star[0] / row.vaccines).tolist()))
+
+
 class TestFrontierCurve:
     def test_passes_through_crossing_for_every_stock(self, countries):
         profile = calibrate(countries["XD"], gamma=0.8)
@@ -102,31 +108,31 @@ class TestFrontierCurve:
         cross = crossing_point(beta_white, 0.8)  # 0.24, on a step-0.04 lattice
         grid = GridSpec(0.04, 0.96, 0.04)
         for v_over_l in (0.2, 0.4, 0.6):
-            curve = dict(frontier_curve(profile, beta_white, v_over_l, grid))
+            curve = dict(_shares(frontier_sweep(profile, beta_white, v_over_l, grid)))
             assert curve[cross] == pytest.approx(profile.blue_share, abs=1e-9)
 
     def test_nondecreasing_in_blue_risk(self, countries):
         for record in countries.values():
             profile = calibrate(record, gamma=0.8)
             for beta_white in (0.05, 0.25):
-                curve = frontier_curve(profile, beta_white, 0.2)
+                curve = _shares(frontier_sweep(profile, beta_white, 0.2))
                 ratios = [ratio for _, ratio in curve]
                 assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
     def test_ratios_lie_in_unit_interval(self, countries):
         profile = calibrate(countries["XA"], gamma=0.8)
-        for _, ratio in frontier_curve(profile, 0.25, 0.4):
+        for _, ratio in _shares(frontier_sweep(profile, 0.25, 0.4)):
             assert 0.0 <= ratio <= 1.0
 
     def test_saturates_when_blue_risk_dominates(self, countries):
         profile = calibrate(countries["XD"], gamma=0.8)
-        curve = dict(frontier_curve(profile, 0.05, 0.2))
+        curve = dict(_shares(frontier_sweep(profile, 0.05, 0.2)))
         assert curve[0.95] == 1.0
 
     def test_rejects_bad_coverage(self, countries):
         profile = calibrate(countries["XA"], gamma=0.8)
         with pytest.raises(ModelInputError):
-            frontier_curve(profile, 0.05, 0.0)
+            frontier_sweep(profile, 0.05, 0.0)
 
 
 class TestSweepMatrix:
@@ -166,6 +172,34 @@ class TestSweepMatrix:
             oracle_v, oracle_objective = brute_force_optimum(profile, scenario, config)
             assert cell.objective <= oracle_objective + 1e-9 * labor_scale(profile)
             assert abs(cell.v_blue_star - oracle_v) <= config.refined_step(result.vaccines)
+
+
+class TestSweepMatrices:
+    @pytest.mark.parametrize("gamma, grid", [(0.8, GridSpec()), (1.0, GridSpec(0.0, 1.0, 0.25))])
+    def test_each_lattice_equals_sweep_matrix(self, countries, gamma, grid):
+        profile = calibrate(countries["XC"], gamma=gamma)
+        stocks = (0.6, 0.2, 0.4, 0.6)
+        lattices = list(sweep_matrices(profile, stocks, grid))
+        assert [lattice.v_over_l for lattice in lattices] == list(stocks)
+        for lattice, v_over_l in zip(lattices, stocks):
+            alone = sweep_matrix(profile, v_over_l, grid)
+            assert (lattice.spec, lattice.vaccines, lattice.beta_white, lattice.beta_blue) == (
+                alone.spec, alone.vaccines, alone.beta_white, alone.beta_blue)
+            for got, want in ((lattice.v_blue_star, alone.v_blue_star),
+                              (lattice.clamp, alone.clamp)):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                                 want.tobytes())
+        assert lattices[0].v_blue_star is not lattices[-1].v_blue_star
+
+    def test_validates_every_stock_before_solving(self, countries, monkeypatch):
+        profile = calibrate(countries["XA"], gamma=0.8)
+
+        def no_solve(*args):
+            raise AssertionError("solved before every stock was validated")
+
+        monkeypatch.setattr(sweep, "stock_solver", no_solve)
+        with pytest.raises(ModelInputError, match="v_over_l"):
+            next(sweep_matrices(profile, (0.2, 1.5)))
 
 
 class TestThresholdShare:
