@@ -19,7 +19,7 @@ _EXPORTS = {
               "crossing_point", "effective_labor", "interior_optimum", "objective",
               "partials", "solve", "unemployment"),
     "oracle": ("OracleConfig", "brute_force_optimum"),
-    "sweep": ("GridSpec", "SweepGrid", "ThresholdSummary", "frontier_sweep",
+    "sweep": ("GridSpec", "SweepGrid", "ThresholdSummary",
               "sweep_matrices", "sweep_matrix", "threshold_share"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

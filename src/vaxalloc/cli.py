@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Each subcommand is one ``_SPECS`` entry: its CSV columns, its row source and
-its JSON metadata keys.  ``_run`` calibrates the countries once, checks every
-lattice's inputs, assembles the metadata and hands table rows to
-``_write_table`` or ``(country, SweepGrid)`` lattices to ``_write_lattices``,
-the only two emitters: long-format CSV, or JSON with provenance metadata.
+its JSON metadata keys.  ``_run`` calibrates the countries once, assembles the
+metadata and hands table rows to ``_write_table`` or ``(country, SweepGrid)``
+lattices from ``sweep.sweep_matrices`` to ``_write_lattices``, the only two
+emitters: long-format CSV, or JSON with provenance metadata.
 
 Exit codes: 0 success, 1 usage or input-validation failure, 2 data error,
 141 standard output closed early (as for a tool killed by SIGPIPE).
@@ -127,9 +127,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", parents=[common, grid],
                        help="solve the full (beta_w, beta_b) matrix")
     p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored: each matrix is solved as one array "
-                   "computation")
     p.add_argument("--out-dir", type=_path, metavar="DIR",
                    help="write one file per (country, v_over_l) here instead of --output")
 
@@ -275,25 +272,21 @@ def _write_lattice_json(handle, country: str, sweep: SweepGrid, lead: str) -> No
 
 
 def _write_lattices(path, fmt: str, command: str, lattices, metadata) -> None:
-    """Write ``(country, SweepGrid)`` pairs, at least one, in the sweep schema.
+    """Write the ``(country, SweepGrid)`` pairs ``lattices()`` returns, in the sweep schema.
 
-    Both formats are streamed one ``beta_white`` row at a time, so memory
-    never holds every row.  CSV solves each lattice as it is written.  JSON
-    solves them all first: the metadata ahead of the rows counts
-    ``degenerate_rows`` (appended, or filled in where ``metadata`` has it),
-    so it holds every lattice's arrays, 9 bytes a cell.  The JSON bytes are
-    those of ``json.dumps(document, indent=2)``.
+    Each lattice is solved as it is written, so memory holds one.  JSON counts
+    ``degenerate_rows`` (appended, or filled in where ``metadata`` has it) in a
+    first pass; its bytes are those of ``json.dumps(document, indent=2)``.
     """
     if fmt == "csv":
         with _opened(path) as handle:
             handle.write(",".join(SWEEP_FIELDS) + "\n")
-            for country, sweep in lattices:
+            for country, sweep in lattices():
                 _write_lattice_csv(handle, country, sweep)
         return
     import json
-    lattices = list(lattices)
     degenerate = sum(int((sweep.clamp == CLAMPS.index(Clamp.DEGENERATE)).sum())
-                     for _, sweep in lattices)
+                     for _, sweep in lattices())
     metadata = json.dumps({**metadata, "degenerate_rows": degenerate}, indent=2)
     # One level deeper in the document; json escapes newlines inside strings.
     metadata = metadata.replace("\n", "\n  ")
@@ -301,7 +294,7 @@ def _write_lattices(path, fmt: str, command: str, lattices, metadata) -> None:
         handle.write(f'{{\n  "command": {json.dumps(command)},\n  "metadata": {metadata},\n'
                      f'  "rows": [')
         lead = "\n"
-        for country, sweep in lattices:
+        for country, sweep in lattices():
             _write_lattice_json(handle, country, sweep, lead)
             lead = ",\n"
         handle.write("\n  ]\n}\n")
@@ -316,10 +309,16 @@ def _scenarios(args, profiles):
 
 
 def _matrices(args, profiles, grid: GridSpec):
-    """Row source of sweep: (country, SweepGrid) per country and stock, solved as read."""
+    """Row source of frontier, sweep and summarize, whose lattices are solved anew per call."""
     from .sweep import sweep_matrices
-    return ((record.country_code, sweep) for record, profile in profiles
-            for sweep in sweep_matrices(profile, args.v_over_l, grid)), {"grid": vars(grid)}
+    beta_white = getattr(args, "beta_w", None)  # a frontier's rows
+    for _, profile in profiles:  # checks every country's inputs before anything is written
+        sweep_matrices(profile, args.v_over_l, grid, beta_white)
+
+    def lattices():
+        return ((record.country_code, sweep) for record, profile in profiles
+                for sweep in sweep_matrices(profile, args.v_over_l, grid, beta_white))
+    return lattices, {"grid": vars(grid)}
 
 
 def _calibrate_rows(args, profiles, _):
@@ -336,18 +335,11 @@ def _solve_rows(args, profiles, _):
     return rows, {"degenerate_rows": sum(row[6] == Clamp.DEGENERATE.value for row in rows)}
 
 
-def _frontier_rows(args, profiles, grid: GridSpec):
-    from .sweep import frontier_sweep
-    return ((record.country_code, frontier_sweep(profile, beta_w, v_over_l, grid))
-            for record, profile in profiles
-            for v_over_l in args.v_over_l for beta_w in args.beta_w), {"grid": vars(grid)}
-
-
 def _summarize_rows(args, profiles, grid: GridSpec):
     from .sweep import threshold_share
     return [(country, sweep.v_over_l, args.threshold,
              threshold_share(sweep, args.threshold).share_exceeding)
-            for country, sweep in _matrices(args, profiles, grid)[0]], {"grid": vars(grid)}
+            for country, sweep in _matrices(args, profiles, grid)[0]()], {"grid": vars(grid)}
 
 
 def _audit_rows(args, profiles, config):
@@ -361,17 +353,17 @@ def _audit_rows(args, profiles, config):
 
 
 # command -> (CSV columns, row source, metadata keys after "gamma").  A row
-# source maps (args, profiles, grid or oracle config) to its rows, which are
-# (country, SweepGrid) lattices under SWEEP_FIELDS, and the metadata it computed.
-# Other keys show their flag (json writes a tuple as a list); _write_lattices counts
-# degenerate_rows.
+# source maps (args, profiles, grid or oracle config) to its rows, under
+# SWEEP_FIELDS a function returning (country, SweepGrid) lattices, and the
+# metadata it computed.  Other keys show their flag (json writes a tuple as a
+# list); _write_lattices counts degenerate_rows.
 _SPECS = {
     "calibrate": (("country", "employment", "telework_share", "labor_white", "labor_blue",
                    "alpha_white", "alpha_blue", "gamma"), _calibrate_rows, ()),
     "solve": (("country", "beta_w", "beta_b", "v_over_l", "v_blue_star", "v_ratio", "clamp",
                "objective", "surplus_blue", "surplus_white"), _solve_rows,
               ("beta_w", "beta_b", "v_over_l", "degenerate_rows")),
-    "frontier": (SWEEP_FIELDS, _frontier_rows, ("beta_w", "v_over_l", "grid", "degenerate_rows")),
+    "frontier": (SWEEP_FIELDS, _matrices, ("beta_w", "v_over_l", "grid", "degenerate_rows")),
     "sweep": (SWEEP_FIELDS, _matrices, ("v_over_l", "grid")),
     "summarize": (("country", "v_over_l", "threshold", "share_exceeding"), _summarize_rows,
                   ("v_over_l", "threshold", "grid")),
@@ -391,11 +383,6 @@ def _run(args, records, provenance) -> int:
         from .oracle import OracleConfig
         setting = OracleConfig(grid_points=args.grid_points, refine=not args.no_refine)
     profiles = [(record, calibrate(record, args.gamma)) for record in records]
-    if fields == SWEEP_FIELDS:  # each lattice's stock and first risk row, before any is written
-        for _, profile in profiles:
-            for v_over_l in args.v_over_l:
-                for beta_w in getattr(args, "beta_w", (setting.beta_min,)):
-                    Scenario.with_coverage(profile, beta_w, setting.beta_min, v_over_l)
     rows, computed = row_source(args, profiles, setting)
     values = {**vars(args), "degenerate_rows": None, **computed}
     metadata = {"gamma": args.gamma, **{key: values[key] for key in keys}, **provenance}
@@ -406,9 +393,9 @@ def _run(args, records, provenance) -> int:
     else:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for country, sweep in rows:
+        for country, sweep in rows():
             _write_lattices(out_dir / f"sweep_{country}_{sweep.v_over_l!r}.{args.format}",
-                            args.format, "sweep", [(country, sweep)],
+                            args.format, "sweep", lambda: [(country, sweep)],
                             {**metadata, "v_over_l": sweep.v_over_l})
     return EXIT_OK
 

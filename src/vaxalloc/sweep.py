@@ -1,10 +1,11 @@
 """Scenario sweeps over infection-risk grids.
 
-Three analyses are provided on top of the closed-form solver: frontier
-curves of the optimal blue-collar dose share against blue-collar risk at a
-fixed white-collar risk, full (beta_w, beta_b) allocation matrices at a
-fixed stock level, and threshold summaries counting the above-diagonal
-scenarios (beta_b > beta_w) where the blue-collar share exceeds a cutoff.
+Every analysis is a lattice of (beta_w, beta_b) cells at one stock level,
+solved by ``sweep_matrices``, the one place a lattice's inputs are checked.
+A full matrix has the grid on both axes.  A frontier replaces the
+white-collar axis by a list of risks: each row is a curve of the optimal
+blue-collar dose share against blue-collar risk.  Threshold summaries count
+the above-diagonal cells (beta_b > beta_w) whose share exceeds a cutoff.
 
 Lattices are solved by the two-stage array kernel ``model.stock_solver``,
 which matches the scalar ``solve`` bit for bit, on risk axes built once per
@@ -146,39 +147,34 @@ def sweep_matrices(profile: EconomyProfile, stocks: Iterable[float], grid: GridS
                    beta_white: tuple[float, ...] | None = None) -> Iterator[SweepGrid]:
     """Solve every lattice cell at each stock level, one ``SweepGrid`` per stock.
 
-    ``beta_white`` replaces the grid as the white-collar axis (a frontier's row).
-    All stocks are validated before any lattice is solved.  The lattices share
-    the kernel's first stage, which lives only while the generator runs.
+    ``beta_white``, a frontier's rows in order, replaces the grid as the
+    white-collar axis.  This call validates every stock and risk; the lattices
+    are solved as read and share the kernel's first stage while the iterator runs.
     """
     beta_blue = grid.values()
-    beta_white = beta_blue if beta_white is None else beta_white
-    # Building each stock's first scenario validates the coverage and the first
-    # white-collar risk; the lattice itself was validated by GridSpec.
-    stocks = [(v_over_l, Scenario.with_coverage(profile, beta_white[0], beta_blue[0],
-                                                v_over_l).vaccines) for v_over_l in stocks]
-    solve_stock = stock_solver(profile, np.asarray(beta_white)[:, None],
-                               np.asarray(beta_blue)[None, :])
-    for v_over_l, vaccines in stocks:
-        yield SweepGrid(grid, v_over_l, vaccines, profile, beta_white, beta_blue,
-                        *solve_stock(vaccines))
+    if beta_white is not None and not 0 < len(beta_white) <= MAX_GRID_POINTS:
+        raise ModelInputError(  # one lattice row per risk
+            f"beta_white needs 1 to {MAX_GRID_POINTS} risks, got {len(beta_white)}")
+    checked = beta_blue[:1] if beta_white is None else beta_white  # GridSpec checked its own
+    beta_white = beta_blue if beta_white is None else tuple(beta_white)
+    levels = []  # (v_over_l, vaccines) per stock
+    for v_over_l in stocks:
+        for beta_w in checked:  # the first bad (stock, risk) pair in row order is reported
+            scenario = Scenario.with_coverage(profile, beta_w, beta_blue[0], v_over_l)
+        levels.append((v_over_l, scenario.vaccines))
+
+    def solved() -> Iterator[SweepGrid]:
+        solve_stock = stock_solver(profile, np.asarray(beta_white)[:, None],
+                                   np.asarray(beta_blue)[None, :])
+        for v_over_l, vaccines in levels:
+            yield SweepGrid(grid, v_over_l, vaccines, profile, beta_white, beta_blue,
+                            *solve_stock(vaccines))
+
+    return solved()
 
 
-def frontier_sweep(
-    profile: EconomyProfile,
-    beta_white: float,
-    v_over_l: float,
-    grid: GridSpec = GridSpec(),
-) -> SweepGrid:
-    """One-row sweep: every lattice blue-collar risk at a fixed white-collar risk."""
-    return next(sweep_matrices(profile, (v_over_l,), grid, (beta_white,)))
-
-
-def sweep_matrix(
-    profile: EconomyProfile,
-    v_over_l: float,
-    grid: GridSpec = GridSpec(),
-    workers: int = 1,
-) -> SweepGrid:
+def sweep_matrix(profile: EconomyProfile, v_over_l: float, grid: GridSpec = GridSpec(),
+                 workers: int = 1) -> SweepGrid:
     """Solve every lattice cell at a fixed stock level: ``sweep_matrices`` for one stock.
 
     ``workers`` is accepted for compatibility and ignored: the whole lattice

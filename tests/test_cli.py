@@ -21,14 +21,15 @@ from vaxalloc import (
     Scenario,
     builtin_dataset_path,
     calibrate,
-    frontier_sweep,
     load_countries,
     solve,
+    sweep_matrices,
     sweep_matrix,
     threshold_share,
 )
-from vaxalloc import cli
+from vaxalloc import cli, sweep
 from vaxalloc.cli import EXIT_DATA, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
+from vaxalloc.sweep import MAX_GRID_POINTS
 
 
 def run_cli(args, capsys):
@@ -90,7 +91,7 @@ def test_frontier_matches_library(capsys):
     rows = read_csv(out)
     record = next(r for r in load_countries(builtin_dataset_path()) if r.country_code == "XA")
     profile = calibrate(record, 0.8)
-    frontier = frontier_sweep(profile, 0.25, 0.4)
+    frontier = next(sweep_matrices(profile, (0.4,), beta_white=(0.25,)))
     expected = dict(zip(frontier.beta_blue,
                         (frontier.v_blue_star[0] / frontier.vaccines).tolist()))
     assert len(rows) == 19
@@ -196,17 +197,16 @@ def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_sweep_parallel_output_is_byte_identical(tmp_path, capsys):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    for path, workers in ((serial, "1"), (parallel, "3")):
+def test_sweep_multi_stock_reruns_are_byte_identical(tmp_path, capsys):
+    first = tmp_path / "a.csv"
+    second = tmp_path / "b.csv"
+    for path in (first, second):
         code, _, _ = run_cli(
-            ["sweep", "--country", "XD", "--v-over-l", "0.2,0.4",
-             "--workers", workers, "--output", str(path)],
+            ["sweep", "--country", "XD", "--v-over-l", "0.2,0.4", "--output", str(path)],
             capsys,
         )
         assert code == EXIT_OK
-    assert serial.read_bytes() == parallel.read_bytes()
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_dataset_env_override(tmp_path, capsys, monkeypatch):
@@ -262,6 +262,14 @@ def test_frontier_bad_input_exits_one_with_one_line(flags, capsys):
     assert out == ""
     assert err.startswith("vaxalloc: error: ")
     assert err.count("\n") == 1
+
+
+def test_frontier_caps_its_white_collar_risks_before_solving(capsys, monkeypatch):
+    monkeypatch.setattr(sweep, "stock_solver", None)  # a solve would raise TypeError
+    risks = ",".join(["0.5"] * (MAX_GRID_POINTS + 1))
+    code, out, err = run_cli(["frontier", "--country", "XA", "--beta-w", risks], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"vaxalloc: error: beta_white needs 1 to {MAX_GRID_POINTS} risks, got 2002\n"
 
 
 def test_data_errors_exit_two(tmp_path, capsys):
@@ -494,7 +502,7 @@ def test_streamed_json_equals_whole_document_encoding(tmp_path, capsys):
     code, out, _ = run_cli(["frontier", *common, "--beta-w", "0,0.5"], capsys)
     assert code == EXIT_OK
     expected = _json_document_built_whole(
-        "frontier", [("ÄÖ", frontier_sweep(profile, w, v, grid))
+        "frontier", [("ÄÖ", next(sweep_matrices(profile, (v,), grid, (w,))))
                      for v in (0.2, 0.6) for w in (0.0, 0.5)],
         {"gamma": 1.0, "beta_w": [0.0, 0.5], "v_over_l": [0.2, 0.6], "grid": grid_metadata,
          "degenerate_rows": None, **provenance})
@@ -523,6 +531,25 @@ def test_json_sweep_memory_does_not_grow_with_rows(tmp_path, capsys):
         handle.seek(-8, os.SEEK_END)
         assert handle.read() == b"}\n  ]\n}\n"
     assert peak < 20 * 2**20
+
+
+def test_json_sweep_memory_does_not_grow_with_stocks(capsys):
+    # A 126 x 126 lattice's arrays take 0.14 MiB: holding all 16 took 2 MiB more.
+    peaks = []
+    for stocks in ("0.4", ",".join(f"{0.05 * k:.2f}" for k in range(1, 17))):
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(
+                ["sweep", "--country", "XA", "--v-over-l", stocks, "--beta-min", "0",
+                 "--beta-max", "1", "--beta-step", "0.008", "--format", "json",
+                 "--output", os.devnull],
+                capsys,
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+    assert peaks[1] < peaks[0] + 2**20
 
 
 def test_failed_json_output_leaves_no_file(tmp_path, capsys, monkeypatch):
@@ -676,7 +703,7 @@ def _parse_outcome(parse, argv):
 
 _OPTIONS = [
     "--input", "--gamma", "--country", "--format", "--output", "--beta-min", "--beta-max",
-    "--beta-step", "--beta-w", "--beta-b", "--v-over-l", "--workers", "--out-dir",
+    "--beta-step", "--beta-w", "--beta-b", "--v-over-l", "--out-dir",
     "--threshold", "--grid-points", "--no-refine", "-h", "--help",
     # abbreviations, unique in some subcommands and ambiguous in others
     "--in", "--gam", "--co", "--fo", "--out", "--o", "--beta", "--beta-m", "--beta-w=",
@@ -706,7 +733,7 @@ _FULL_PARSER, _ROUTED_PARSER = cli.build_parser(), cli.build_parser()
 @example(argv=["solve", "--help"])
 @example(argv=["solve", "--beta", "0.1", "--beta-b", "0.3"])
 @example(argv=["solve", "--beta-w", "0.1", "--beta-b", "0.3", "extra"])
-@example(argv=["sweep", "--", "--workers", "2"])
+@example(argv=["sweep", "--", "--out-dir", "2"])
 @example(argv=["audit", "--beta-w=-1", "--beta-b", "-0.0", "--no-refine", "--grid-points", "x"])
 def test_subcommand_argv_parses_as_the_full_parser_would(argv):
     routed = _parse_outcome(lambda a: cli._parse_args(_ROUTED_PARSER, a), argv)
@@ -756,7 +783,7 @@ _NUMERIC_FLAGS = {
     "solve": ["--gamma", "--beta-w", "--beta-b", "--v-over-l"],
     "frontier": ["--gamma", "--beta-min", "--beta-max", "--beta-step", "--beta-w",
                  "--v-over-l"],
-    "sweep": ["--gamma", "--beta-min", "--beta-max", "--beta-step", "--v-over-l", "--workers"],
+    "sweep": ["--gamma", "--beta-min", "--beta-max", "--beta-step", "--v-over-l"],
     "summarize": ["--gamma", "--beta-min", "--beta-max", "--beta-step", "--v-over-l",
                   "--threshold"],
     "audit": ["--gamma", "--beta-w", "--beta-b", "--v-over-l", "--grid-points"],

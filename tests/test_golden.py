@@ -49,6 +49,13 @@ CASES = {
                              "--grid-points", "1001", "--format", "json"],
     "frontier_stocks_json": ["frontier", "--beta-w", "0.05,0.25", "--v-over-l", "0.2,0.6",
                              "--format", "json"],
+    # An unsorted --beta-w list with a repeat and both boundary risks: each
+    # (country, stock) lattice keeps the list's order as its rows.
+    "frontier_risk_list_csv": ["frontier", "--gamma", "1.0", "--beta-min", "0",
+                               "--beta-w", "0.25,0,0.25,1", "--v-over-l", "0.3,0.7"],
+    "frontier_risk_list_json": ["frontier", "--gamma", "1.0", "--beta-min", "0",
+                                "--beta-w", "0.25,0,0.25,1", "--v-over-l", "0.3,0.7",
+                                "--format", "json"],
     # Failures write nothing but one line to stderr, even when an earlier
     # lattice of the same run was valid.
     "frontier_bad_risk": ["frontier", "--beta-w", "0.05,1.5"],

@@ -14,7 +14,6 @@ from vaxalloc import (
     brute_force_optimum,
     calibrate,
     crossing_point,
-    frontier_sweep,
     load_countries,
     solve,
     sweep_matrices,
@@ -108,31 +107,32 @@ class TestFrontierCurve:
         cross = crossing_point(beta_white, 0.8)  # 0.24, on a step-0.04 lattice
         grid = GridSpec(0.04, 0.96, 0.04)
         for v_over_l in (0.2, 0.4, 0.6):
-            curve = dict(_shares(frontier_sweep(profile, beta_white, v_over_l, grid)))
+            row = next(sweep_matrices(profile, (v_over_l,), grid, (beta_white,)))
+            curve = dict(_shares(row))
             assert curve[cross] == pytest.approx(profile.blue_share, abs=1e-9)
 
     def test_nondecreasing_in_blue_risk(self, countries):
         for record in countries.values():
             profile = calibrate(record, gamma=0.8)
             for beta_white in (0.05, 0.25):
-                curve = _shares(frontier_sweep(profile, beta_white, 0.2))
+                curve = _shares(next(sweep_matrices(profile, (0.2,), beta_white=(beta_white,))))
                 ratios = [ratio for _, ratio in curve]
                 assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
     def test_ratios_lie_in_unit_interval(self, countries):
         profile = calibrate(countries["XA"], gamma=0.8)
-        for _, ratio in _shares(frontier_sweep(profile, 0.25, 0.4)):
+        for _, ratio in _shares(next(sweep_matrices(profile, (0.4,), beta_white=(0.25,)))):
             assert 0.0 <= ratio <= 1.0
 
     def test_saturates_when_blue_risk_dominates(self, countries):
         profile = calibrate(countries["XD"], gamma=0.8)
-        curve = dict(_shares(frontier_sweep(profile, 0.05, 0.2)))
+        curve = dict(_shares(next(sweep_matrices(profile, (0.2,), beta_white=(0.05,)))))
         assert curve[0.95] == 1.0
 
     def test_rejects_bad_coverage(self, countries):
         profile = calibrate(countries["XA"], gamma=0.8)
         with pytest.raises(ModelInputError):
-            frontier_sweep(profile, 0.05, 0.0)
+            next(sweep_matrices(profile, (0.0,), beta_white=(0.05,)))
 
 
 class TestSweepMatrix:
@@ -200,6 +200,40 @@ class TestSweepMatrices:
         monkeypatch.setattr(sweep, "stock_solver", no_solve)
         with pytest.raises(ModelInputError, match="v_over_l"):
             next(sweep_matrices(profile, (0.2, 1.5)))
+
+    def test_validates_every_white_risk_when_called(self, countries, monkeypatch):
+        profile = calibrate(countries["XA"], gamma=0.8)
+        monkeypatch.setattr(sweep, "stock_solver", None)  # solving would raise TypeError
+        with pytest.raises(ModelInputError, match=r"beta_white must lie in \[0, 1\], got 1\.5$"):
+            sweep_matrices(profile, (0.4,), GridSpec(), (0.1, 1.5, -3.0))
+
+    def test_reports_the_first_bad_pair_in_row_order(self, countries):
+        # (stock, risk) pairs in row order: (0.2, 0.1), (0.2, 1.5), (2.0, 0.1), ...
+        profile = calibrate(countries["XA"], gamma=0.8)
+        with pytest.raises(ModelInputError, match=r"got 1\.5$"):
+            sweep_matrices(profile, (0.2, 2.0), GridSpec(), (0.1, 1.5))
+        with pytest.raises(ModelInputError, match=r"v_over_l must lie in \(0, 1\), got 2\.0$"):
+            sweep_matrices(profile, (2.0, 0.2), GridSpec(), (0.1, 1.5))
+
+    def test_caps_the_white_collar_axis(self, countries):
+        profile = calibrate(countries["XA"], gamma=0.8)
+        grid = GridSpec(0.1, 0.9, 0.4)
+        lattice = next(sweep_matrices(profile, (0.4,), grid, (0.5,) * MAX_GRID_POINTS))
+        assert lattice.v_blue_star.shape == (MAX_GRID_POINTS, 3)
+        for risks in ((0.5,) * (MAX_GRID_POINTS + 1), ()):
+            with pytest.raises(ModelInputError, match=f"1 to {MAX_GRID_POINTS} risks"):
+                sweep_matrices(profile, (0.4,), grid, risks)
+
+    def test_frontier_rows_keep_the_given_order(self, countries):
+        profile = calibrate(countries["XB"], gamma=1.0)
+        grid = GridSpec(0.0, 1.0, 0.25)
+        risks = (0.25, 0.0, 0.25, 1.0)
+        for lattice in sweep_matrices(profile, (0.3, 0.7), grid, risks):
+            assert lattice.beta_white == risks
+            for i, beta_w in enumerate(risks):
+                alone = next(sweep_matrices(profile, (lattice.v_over_l,), grid, (beta_w,)))
+                assert lattice.v_blue_star[i].tobytes() == alone.v_blue_star[0].tobytes()
+                assert lattice.clamp[i].tobytes() == alone.clamp[0].tobytes()
 
 
 class TestThresholdShare:
