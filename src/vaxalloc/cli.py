@@ -32,7 +32,7 @@ from .calibration import (
 from .model import CLAMPS, Clamp, ModelInputError, Scenario, solve
 
 if TYPE_CHECKING:  # the commands that use oracle, sweep or json import them
-    from .sweep import GridSpec, SweepGrid
+    from .sweep import GridSpec
 
 DATASET_ENV_VAR = "VAXALLOC_DATASET"
 
@@ -48,7 +48,14 @@ DEFAULT_V_OVER_L = (0.2, 0.4, 0.6)
 DEFAULT_BETA_WHITE = (0.05, 0.25)
 DEFAULT_THRESHOLD = 0.66
 
-CLAMP_NAMES = tuple(clamp.value for clamp in CLAMPS)  # clamp code -> CSV label
+# Per format, the separator between sweep rows and each clamp code's row end.
+# No CSV field needs quoting: country codes are letters, clamp labels are fixed
+# words and a float repr has no comma.  JSON rows are json.dumps(document,
+# indent=2) bytes at depth 2: the labels are ASCII and a float is its repr.
+_ROW_ENDS = {
+    "csv": ("", tuple(f",{clamp.value}\n" for clamp in CLAMPS)),
+    "json": (",\n", tuple(f',\n      "clamp": "{clamp.value}"\n    }}' for clamp in CLAMPS)),
+}
 
 SWEEP_FIELDS = ("country", "v_over_l", "beta_w", "beta_b", "v_ratio", "clamp")
 
@@ -241,63 +248,51 @@ def _write_table(path, fmt: str, command: str, fields, rows, metadata) -> None:
             handle.write("\n")
 
 
-def _write_lattice_csv(handle, country: str, sweep: SweepGrid) -> None:
-    # No field needs CSV quoting: country codes are letters, clamp labels are
-    # fixed words and a float repr has no comma.
-    prefix = f"{country},{sweep.v_over_l!r},"
-    blue = [f"{beta_b!r}," for beta_b in sweep.beta_blue]
-    for i, beta_w in enumerate(sweep.beta_white):
-        head = f"{prefix}{beta_w!r},"
-        ratios = (sweep.v_blue_star[i] / sweep.vaccines).tolist()
-        handle.write("".join([f"{head}{b}{ratio!r},{CLAMP_NAMES[code]}\n"
-                              for b, ratio, code in zip(blue, ratios, sweep.clamp[i].tolist())]))
-
-
-def _write_lattice_json(handle, country: str, sweep: SweepGrid, lead: str) -> None:
-    # Each row as json.dumps(document, indent=2) writes it at depth 2, rows
-    # separated by ",\n"; ``lead`` goes before the lattice's first row.
-    # json.dumps escapes the country as the whole-document encoder would; clamp
-    # labels are plain ASCII words and json writes a float as its repr.
-    import json
-    prefix = (f'    {{\n      "country": {json.dumps(country)},\n'
-              f'      "v_over_l": {sweep.v_over_l!r},\n')
-    blue = [f'      "beta_b": {beta_b!r},\n      "v_ratio": ' for beta_b in sweep.beta_blue]
-    for i, beta_w in enumerate(sweep.beta_white):
-        head = f'{prefix}      "beta_w": {beta_w!r},\n'
-        ratios = (sweep.v_blue_star[i] / sweep.vaccines).tolist()
-        handle.write(lead + ",\n".join([
-            f'{head}{b}{ratio!r},\n      "clamp": "{CLAMP_NAMES[code]}"\n    }}'
-            for b, ratio, code in zip(blue, ratios, sweep.clamp[i].tolist())]))
-        lead = ",\n"
+def _write_lattice_rows(handle, fmt: str, lattices, lead: str) -> None:
+    """Write ``lead``, then each cell's row: head + repr(beta_w) + blue[j] + repr(share) + tail."""
+    sep, tails = _ROW_ENDS[fmt]
+    for country, sweep in lattices:
+        if fmt == "csv":
+            head = f"{country},{sweep.v_over_l!r},"
+            blue = [f",{beta_b!r}," for beta_b in sweep.beta_blue]
+        else:  # json.dumps escapes the country as the whole-document encoder would
+            import json
+            head = (f'    {{\n      "country": {json.dumps(country)},\n'
+                    f'      "v_over_l": {sweep.v_over_l!r},\n      "beta_w": ')
+            blue = [f',\n      "beta_b": {beta_b!r},\n      "v_ratio": '
+                    for beta_b in sweep.beta_blue]
+        for i, beta_w in enumerate(sweep.beta_white):
+            row = f"{head}{beta_w!r}"
+            ratios = (sweep.v_blue_star[i] / sweep.vaccines).tolist()
+            handle.write(lead + sep.join([f"{row}{b}{ratio!r}{tails[code]}" for b, ratio, code
+                                          in zip(blue, ratios, sweep.clamp[i].tolist())]))
+            lead = sep
 
 
 def _write_lattices(path, fmt: str, command: str, lattices, metadata) -> None:
     """Write the ``(country, SweepGrid)`` pairs ``lattices()`` returns, in the sweep schema.
 
-    Each lattice is solved as it is written, so memory holds one.  JSON counts
-    ``degenerate_rows`` (appended, or filled in where ``metadata`` has it) in a
-    first pass; its bytes are those of ``json.dumps(document, indent=2)``.
+    Checks run before the output opens; each lattice is solved as written, so memory holds
+    one.  JSON, the bytes of ``json.dumps(document, indent=2)``, counts ``degenerate_rows``
+    (appended, or filled in where ``metadata`` has it) in a first pass.
     """
     if fmt == "csv":
-        with _opened(path) as handle:
-            handle.write(",".join(SWEEP_FIELDS) + "\n")
-            for country, sweep in lattices():
-                _write_lattice_csv(handle, country, sweep)
-        return
-    import json
-    degenerate = sum(int((sweep.clamp == CLAMPS.index(Clamp.DEGENERATE)).sum())
-                     for _, sweep in lattices())
-    metadata = json.dumps({**metadata, "degenerate_rows": degenerate}, indent=2)
-    # One level deeper in the document; json escapes newlines inside strings.
-    metadata = metadata.replace("\n", "\n  ")
+        start, lead, end = ",".join(SWEEP_FIELDS) + "\n", "", ""
+    else:
+        import json
+        degenerate = sum(int((sweep.clamp == CLAMPS.index(Clamp.DEGENERATE)).sum())
+                         for _, sweep in lattices())
+        metadata = json.dumps({**metadata, "degenerate_rows": degenerate}, indent=2)
+        # One level deeper in the document; json escapes newlines inside strings.
+        metadata = metadata.replace("\n", "\n  ")
+        start = (f'{{\n  "command": {json.dumps(command)},\n  "metadata": {metadata},\n'
+                 f'  "rows": [')
+        lead, end = "\n", "\n  ]\n}\n"
+    rows = lattices()
     with _opened(path) as handle:
-        handle.write(f'{{\n  "command": {json.dumps(command)},\n  "metadata": {metadata},\n'
-                     f'  "rows": [')
-        lead = "\n"
-        for country, sweep in lattices():
-            _write_lattice_json(handle, country, sweep, lead)
-            lead = ",\n"
-        handle.write("\n  ]\n}\n")
+        handle.write(start)
+        _write_lattice_rows(handle, fmt, rows, lead)
+        handle.write(end)
 
 
 def _scenarios(args, profiles):
@@ -309,15 +304,14 @@ def _scenarios(args, profiles):
 
 
 def _matrices(args, profiles, grid: GridSpec):
-    """Row source of frontier, sweep and summarize, whose lattices are solved anew per call."""
+    """Row source of frontier, sweep and summarize: ``lattices()`` checks all, solves as read."""
     from .sweep import sweep_matrices
     beta_white = getattr(args, "beta_w", None)  # a frontier's rows
-    for _, profile in profiles:  # checks every country's inputs before anything is written
-        sweep_matrices(profile, args.v_over_l, grid, beta_white)
 
     def lattices():
-        return ((record.country_code, sweep) for record, profile in profiles
-                for sweep in sweep_matrices(profile, args.v_over_l, grid, beta_white))
+        checked = [(record.country_code, sweep_matrices(profile, args.v_over_l, grid, beta_white))
+                   for record, profile in profiles]
+        return ((country, sweep) for country, sweeps in checked for sweep in sweeps)
     return lattices, {"grid": vars(grid)}
 
 
@@ -391,9 +385,10 @@ def _run(args, records, provenance) -> int:
     elif getattr(args, "out_dir", None) is None:
         _write_lattices(args.output, args.format, args.command, rows, metadata)
     else:
+        lattices = rows()  # checked before the directory is made
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for country, sweep in rows():
+        for country, sweep in lattices:
             _write_lattices(out_dir / f"sweep_{country}_{sweep.v_over_l!r}.{args.format}",
                             args.format, "sweep", lambda: [(country, sweep)],
                             {**metadata, "v_over_l": sweep.v_over_l})

@@ -63,7 +63,7 @@ class Clamp(str, Enum):
     DEGENERATE = "Degenerate"   # doses have no effect; conventional split used
 
 
-CLAMPS = tuple(Clamp)  # clamp code i, as returned by solve_arrays, names CLAMPS[i]
+CLAMPS = tuple(Clamp)  # clamp code i, as returned by stock_solver, names CLAMPS[i]
 _ALL_WHITE, _INTERIOR, _ALL_BLUE, _DEGENERATE = range(len(CLAMPS))
 
 
@@ -271,10 +271,6 @@ def interior_optimum(profile: EconomyProfile, scenario: Scenario) -> float:
     move either labor pool (beta_b = beta_w = 0 with gamma = 1).
     """
     _check_pair(profile, scenario)
-    return _interior_optimum(profile, scenario)
-
-
-def _interior_optimum(profile: EconomyProfile, scenario: Scenario) -> float:
     leverage = _dose_leverage(profile, scenario)
     if leverage == 0.0:
         raise DegenerateModelError(
@@ -297,11 +293,9 @@ def solve(profile: EconomyProfile, scenario: Scenario) -> AllocationResult:
     degenerate no-leverage case every allocation is optimal and the labor
     split L_b / L is used so downstream sweeps stay total.
     """
-    # The one validation: the unchecked helpers below only see v_star in [0, V].
-    _check_pair(profile, scenario)
     vaccines = scenario.vaccines
-    try:
-        interior = _interior_optimum(profile, scenario)
+    try:  # its pair check is the one validation: the helpers below only see v_star in [0, V]
+        interior = interior_optimum(profile, scenario)
     except DegenerateModelError:
         interior = math.nan
         clamp = Clamp.DEGENERATE
@@ -331,29 +325,20 @@ def solve(profile: EconomyProfile, scenario: Scenario) -> AllocationResult:
     )
 
 
-def solve_arrays(profile: EconomyProfile, beta_white: np.ndarray | float,
-                 beta_blue: np.ndarray | float, vaccines: float) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal blue-collar doses and clamp codes for many risk pairs at once.
-
-    ``beta_white`` and ``beta_blue`` broadcast against each other; the result
-    is ``(v_blue_star, clamp_code)`` of the broadcast shape, where
-    ``CLAMPS[clamp_code]`` is the branch.  The arithmetic follows
-    ``interior_optimum`` and ``solve`` operation for operation, so every
-    element equals ``solve(profile, Scenario(bw, bb, vaccines))`` bit for
-    bit.  Nothing is validated here: pass risks in [0, 1] and a stock in
-    [0, L), as ``GridSpec`` and ``Scenario.with_coverage`` guarantee.
-    """
-    return stock_solver(profile, beta_white, beta_blue)(vaccines)
-
-
 def stock_solver(profile: EconomyProfile, beta_white: np.ndarray | float,
                  beta_blue: np.ndarray | float) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-    """``solve_arrays`` in two stages, to solve one lattice at many stocks.
+    """Optimal blue-collar doses and clamp codes for many risk pairs, at many stocks.
 
-    This call runs the first stage, which does not depend on the stock: the
-    leverage, the no-dose terms, the white dose value and the degenerate cells.
-    The returned function runs the second per stock V, reading those arrays
-    only, and matches ``solve_arrays(profile, beta_white, beta_blue, V)`` bit for bit.
+    ``beta_white`` and ``beta_blue`` broadcast against each other.  This call
+    runs the first stage, which does not depend on the stock: the leverage,
+    the no-dose terms, the white dose value and the degenerate cells.  The
+    returned function runs the second per stock V, reading those arrays only,
+    and returns ``(v_blue_star, clamp_code)`` of the broadcast shape, where
+    ``CLAMPS[clamp_code]`` is the branch.  The arithmetic follows
+    ``interior_optimum`` and ``solve`` operation for operation, so every
+    element equals ``solve(profile, Scenario(bw, bb, V))`` bit for bit.
+    Nothing is validated here: pass risks in [0, 1] and a stock in [0, L), as
+    ``GridSpec`` and ``Scenario.with_coverage`` guarantee.
     """
     import numpy as np
 

@@ -96,8 +96,8 @@ class _Cells(Mapping):
 
     def __init__(self, sweep: SweepGrid) -> None:
         self._sweep = sweep
-        self._white = frozenset(sweep.beta_white)
-        self._blue = frozenset(sweep.beta_blue)
+        self._white = dict.fromkeys(sweep.beta_white)  # distinct risks, in first-seen order
+        self._blue = dict.fromkeys(sweep.beta_blue)
 
     def __getitem__(self, key: tuple[float, float]) -> AllocationResult:
         if not (isinstance(key, tuple) and len(key) == 2
@@ -107,10 +107,10 @@ class _Cells(Mapping):
         return solve(sweep.profile, Scenario(key[0], key[1], sweep.vaccines))
 
     def __iter__(self) -> Iterator[tuple[float, float]]:
-        return ((w, b) for w in self._sweep.beta_white for b in self._sweep.beta_blue)
+        return ((w, b) for w in self._white for b in self._blue)
 
     def __len__(self) -> int:
-        return len(self._sweep.beta_white) * len(self._sweep.beta_blue)
+        return len(self._white) * len(self._blue)
 
 
 class SweepGrid(_Frozen, eq=False):

@@ -334,11 +334,11 @@ def test_country_code_is_two_code_points_that_are_letters(tmp_path, capsys):
 
 def _fail_after_one_row(monkeypatch):
     # Write part of the first lattice, then fail the way a full disk would.
-    def write_then_fail(handle, country, sweep):
-        handle.write(f"{country},partial\n")
+    def write_then_fail(handle, *args):
+        handle.write("XA,partial\n")
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, "_write_lattice_csv", write_then_fail)
+    monkeypatch.setattr(cli, "_write_lattice_rows", write_then_fail)
 
 
 def test_failed_output_leaves_target_absent_or_unchanged(tmp_path, capsys, monkeypatch):
@@ -553,11 +553,11 @@ def test_json_sweep_memory_does_not_grow_with_stocks(capsys):
 
 
 def test_failed_json_output_leaves_no_file(tmp_path, capsys, monkeypatch):
-    def write_then_fail(handle, country, sweep, lead):
-        handle.write(f'{lead}    {{"country": "{country}"')
+    def write_then_fail(handle, *args):
+        handle.write('\n    {"country": "XA"')
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, "_write_lattice_json", write_then_fail)
+    monkeypatch.setattr(cli, "_write_lattice_rows", write_then_fail)
     target = tmp_path / "s.json"
     out_dir = tmp_path / "matrices"
     for flags in (["--output", str(target)], ["--out-dir", str(out_dir)]):
@@ -568,6 +568,35 @@ def test_failed_json_output_leaves_no_file(tmp_path, capsys, monkeypatch):
         assert err == "vaxalloc: data error: [Errno 28] No space left on device\n"
     assert list(out_dir.iterdir()) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["matrices"]
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (["sweep"], 1), (["frontier"], 1), (["summarize"], 1), (["sweep", "--out-dir"], 1),
+    (["sweep", "--format", "json", "--out-dir"], 1), (["sweep", "--format", "json"], 2),
+])
+def test_lattice_commands_call_sweep_matrices_once_per_country_a_pass(
+    argv, passes, tmp_path, capsys, monkeypatch
+):
+    calls = []
+    real = sweep.sweep_matrices
+    monkeypatch.setattr(sweep, "sweep_matrices",
+                        lambda profile, *rest: calls.append(profile) or real(profile, *rest))
+    if argv[-1] == "--out-dir":
+        argv = [*argv, str(tmp_path / "matrices")]
+    code, _, err = run_cli(argv, capsys)
+    assert (code, err) == (EXIT_OK, "")
+    countries = len(load_countries(builtin_dataset_path()))
+    assert (len(calls), len(set(calls))) == (passes * countries, countries)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("target", [[], ["--output", "s.out"], ["--out-dir", "matrices"]])
+def test_bad_stock_exits_one_before_anything_is_written(fmt, target, tmp_path, capsys):
+    target = [flag if flag.startswith("--") else str(tmp_path / flag) for flag in target]
+    code, out, err = run_cli(["sweep", "--v-over-l", "0.2,0", "--format", fmt, *target], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "vaxalloc: error: v_over_l must lie in (0, 1), got 0.0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _cli_process(args, **kwargs):

@@ -26,7 +26,7 @@ from vaxalloc import (
     unemployment,
 )
 from vaxalloc import model
-from vaxalloc.model import CLAMPS, solve_arrays
+from vaxalloc.model import CLAMPS, stock_solver
 from vaxalloc.oracle import OracleConfig
 
 
@@ -282,7 +282,7 @@ class TestSolveArrays:
             profile = calibrate(record, gamma)
             for v_over_l in (0.01, 0.2, 0.6, 0.95):
                 vaccines = v_over_l * profile.total_labor
-                v_star, code = solve_arrays(profile, axis[:, None], axis[None, :], vaccines)
+                v_star, code = stock_solver(profile, axis[:, None], axis[None, :])(vaccines)
                 expected = [
                     solve(profile, Scenario(beta_w, beta_b, vaccines))
                     for beta_w in lattice
@@ -325,9 +325,9 @@ def test_solve_arrays_matches_solve_on_random_profiles(
     profile = EconomyProfile(*labor, *alpha, gamma)
     vaccines = coverage * profile.total_labor
     assume(vaccines < profile.total_labor)
-    v_star, code = solve_arrays(
-        profile, np.array(beta_white)[:, None], np.array(beta_blue)[None, :], vaccines
-    )
+    v_star, code = stock_solver(
+        profile, np.array(beta_white)[:, None], np.array(beta_blue)[None, :]
+    )(vaccines)
     assert v_star.shape == code.shape == (len(beta_white), len(beta_blue))
     assert code.dtype == np.int8
     for (i, beta_w), (j, beta_b) in itertools.product(enumerate(beta_white), enumerate(beta_blue)):
@@ -376,7 +376,7 @@ def test_stock_solver_shares_its_first_stage_across_stocks(
     solve_stock = model.stock_solver(profile, white, blue)
     solved = [(vaccines, *solve_stock(vaccines)) for vaccines in stocks + stocks[:1]]
     for vaccines, v_star, code in solved:
-        fresh = solve_arrays(profile, white, blue, vaccines)
+        fresh = stock_solver(profile, white, blue)(vaccines)
         for got, want in zip((v_star, code), fresh):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         assert np.array_equal(np.signbit(v_star), np.signbit(fresh[0]))

@@ -152,6 +152,13 @@ class TestSweepMatrix:
             direct = solve(profile, Scenario(beta_w, beta_b, result.vaccines))
             assert cell == direct
 
+    def test_cells_of_a_lattice_with_repeated_risks_are_a_mapping(self, countries):
+        profile = calibrate(countries["XB"], gamma=0.8)
+        lattice = next(sweep_matrices(profile, (0.4,), GridSpec(0.1, 0.9, 0.4), (0.25, 0.0, 0.25)))
+        cells = lattice.cells
+        assert len(cells) == len(list(cells)) == len(dict(cells.items())) == 6
+        assert list(cells)[::3] == [(0.25, 0.1), (0.0, 0.1)]  # first-seen order
+
     def test_parallel_equals_serial(self, countries):
         profile = calibrate(countries["XC"], gamma=0.8)
         serial = sweep_matrix(profile, 0.4, workers=1)
