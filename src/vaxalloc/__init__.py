@@ -20,7 +20,7 @@ _EXPORTS = {
               "partials", "solve", "unemployment"),
     "oracle": ("OracleConfig", "brute_force_optimum"),
     "sweep": ("GridSpec", "SweepGrid", "ThresholdSummary",
-              "sweep_matrices", "sweep_matrix", "threshold_share"),
+              "sweep_matrices", "sweep_matrix", "threshold_share", "threshold_shares"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

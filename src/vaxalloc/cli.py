@@ -304,7 +304,7 @@ def _scenarios(args, profiles):
 
 
 def _matrices(args, profiles, grid: GridSpec):
-    """Row source of frontier, sweep and summarize: ``lattices()`` checks all, solves as read."""
+    """Row source of frontier and sweep: ``lattices()`` checks all, solves as read."""
     from .sweep import sweep_matrices
     beta_white = getattr(args, "beta_w", None)  # a frontier's rows
 
@@ -330,10 +330,16 @@ def _solve_rows(args, profiles, _):
 
 
 def _summarize_rows(args, profiles, grid: GridSpec):
-    from .sweep import threshold_share
-    return [(country, sweep.v_over_l, args.threshold,
-             threshold_share(sweep, args.threshold).share_exceeding)
-            for country, sweep in _matrices(args, profiles, grid)[0]()], {"grid": vars(grid)}
+    from .sweep import threshold_shares
+    # Each call checks its stocks, then the threshold.  A stock's check depends on the
+    # country only through its total labor, which calibrate keeps finite, so the first
+    # error is the one a check of every country's stocks before the threshold would give.
+    checked = [(record.country_code, threshold_shares(profile, args.v_over_l, grid,
+                                                      args.threshold))
+               for record, profile in profiles]  # the calls alive at once gather the cells once
+    return [(country, v_over_l, args.threshold, summary.share_exceeding)
+            for country, summaries in checked
+            for v_over_l, summary in zip(args.v_over_l, summaries)], {"grid": vars(grid)}
 
 
 def _audit_rows(args, profiles, config):

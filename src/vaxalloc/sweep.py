@@ -1,22 +1,26 @@
 """Scenario sweeps over infection-risk grids.
 
 Every analysis is a lattice of (beta_w, beta_b) cells at one stock level,
-solved by ``sweep_matrices``, the one place a lattice's inputs are checked.
-A full matrix has the grid on both axes.  A frontier replaces the
-white-collar axis by a list of risks: each row is a curve of the optimal
-blue-collar dose share against blue-collar risk.  Threshold summaries count
-the above-diagonal cells (beta_b > beta_w) whose share exceeds a cutoff.
+solved by ``sweep_matrices``.  A full matrix has the grid on both axes.  A
+frontier replaces the white-collar axis by a list of risks: each row is a
+curve of the optimal blue-collar dose share against blue-collar risk.
+Threshold summaries count the above-diagonal cells (beta_b > beta_w) whose
+share exceeds a cutoff: ``threshold_share`` on a solved lattice, or
+``threshold_shares``, which solves only those cells.  ``sweep_matrices`` and
+``threshold_shares`` check stocks through ``_levels``, and both summaries
+count through ``_exceeding``.
 
-Lattices are solved by the two-stage array kernel ``model.stock_solver``,
+Cells are solved by the two-stage array kernel ``model.stock_solver``,
 which matches the scalar ``solve`` bit for bit, on risk axes built once per
-grid: one country's lattices at several stocks share its first stage.  The
-``AllocationResult`` objects are only built when ``SweepGrid.cells`` is read.
+grid: one country's stocks share its first stage.  The ``AllocationResult``
+objects are only built when ``SweepGrid.cells`` is read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -34,6 +38,10 @@ from .model import (
 # Largest lattice accepted per axis: a 0.0005 step over [0, 1].  A full
 # sweep holds a few arrays of MAX_GRID_POINTS**2 doubles (~32 MB each).
 MAX_GRID_POINTS = 2001
+
+# Riskier-blue cells per kernel call in threshold_shares: a grid of up to 362
+# points is one call, and a call's arrays stay at 512 KiB each.
+_BLOCK = 1 << 16
 
 
 class GridSpec(_Frozen):
@@ -80,10 +88,34 @@ def _lattice(beta_min: float, step: float, points: int) -> tuple[float, ...]:
 
 @functools.lru_cache(maxsize=4)
 def _riskier_blue(beta_white: tuple, beta_blue: tuple) -> tuple[np.ndarray, int]:
-    """Read-only beta_blue > beta_white mask of a lattice, and its count."""
+    """Read-only beta_blue > beta_white mask of a lattice, and its count, which is positive."""
     mask = np.less.outer(beta_white, beta_blue)
     mask.flags.writeable = False
-    return mask, int(np.count_nonzero(mask))
+    considered = int(np.count_nonzero(mask))
+    if considered == 0:
+        raise ModelInputError("no cells with beta_blue > beta_white; grid too small")
+    return mask, considered
+
+
+# GridSpec -> its riskier-blue cells, while some threshold_shares iterator holds them.
+_CELLS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _riskier_blue_cells(grid: GridSpec) -> np.ndarray:
+    """(2, k) array of the beta_white and beta_blue of each riskier-blue cell, row-major.
+
+    Built from the uncached ``_riskier_blue`` mask once for the calls alive at
+    the same time, and freed with the last of them: nothing grid-sized is cached.
+    """
+    cells = _CELLS.get(grid)
+    if cells is None:
+        axis = np.asarray(grid.values(), dtype=float)
+        mask, considered = _riskier_blue.__wrapped__(axis, axis)
+        cells = _CELLS[grid] = np.empty((2, considered))
+        cells[0] = np.broadcast_to(axis[:, None], mask.shape)[mask]
+        cells[1] = np.broadcast_to(axis, mask.shape)[mask]
+        cells.flags.writeable = False
+    return cells
 
 
 class _Cells(Mapping):
@@ -143,6 +175,20 @@ class ThresholdSummary(_Frozen):
     cells_considered: int
 
 
+def _levels(profile: EconomyProfile, stocks: Iterable[float], beta_white: tuple[float, ...],
+            beta_blue: float) -> list[tuple[float, float]]:
+    """(v_over_l, vaccines) of each stock, checked with every white-collar risk.
+
+    The one stock check: the first bad (stock, risk) pair in row order is reported.
+    """
+    levels = []
+    for v_over_l in stocks:
+        for beta_w in beta_white:
+            scenario = Scenario.with_coverage(profile, beta_w, beta_blue, v_over_l)
+        levels.append((v_over_l, scenario.vaccines))
+    return levels
+
+
 def sweep_matrices(profile: EconomyProfile, stocks: Iterable[float], grid: GridSpec = GridSpec(),
                    beta_white: tuple[float, ...] | None = None) -> Iterator[SweepGrid]:
     """Solve every lattice cell at each stock level, one ``SweepGrid`` per stock.
@@ -157,11 +203,7 @@ def sweep_matrices(profile: EconomyProfile, stocks: Iterable[float], grid: GridS
             f"beta_white needs 1 to {MAX_GRID_POINTS} risks, got {len(beta_white)}")
     checked = beta_blue[:1] if beta_white is None else beta_white  # GridSpec checked its own
     beta_white = beta_blue if beta_white is None else tuple(beta_white)
-    levels = []  # (v_over_l, vaccines) per stock
-    for v_over_l in stocks:
-        for beta_w in checked:  # the first bad (stock, risk) pair in row order is reported
-            scenario = Scenario.with_coverage(profile, beta_w, beta_blue[0], v_over_l)
-        levels.append((v_over_l, scenario.vaccines))
+    levels = _levels(profile, stocks, checked, beta_blue[0])
 
     def solved() -> Iterator[SweepGrid]:
         solve_stock = stock_solver(profile, np.asarray(beta_white)[:, None],
@@ -183,21 +225,56 @@ def sweep_matrix(profile: EconomyProfile, v_over_l: float, grid: GridSpec = Grid
     return next(sweep_matrices(profile, (v_over_l,), grid))
 
 
+def _check_threshold(threshold: float) -> None:
+    if not (0.0 < threshold < 1.0):
+        raise ModelInputError(f"threshold must lie in (0, 1), got {threshold!r}")
+
+
+def _exceeding(v_blue_star: np.ndarray, vaccines: float, threshold: float) -> int:
+    """How many of these cells have a dose share strictly above the threshold."""
+    return int(np.count_nonzero(v_blue_star / vaccines > threshold))
+
+
 def threshold_share(sweep: SweepGrid, threshold: float) -> ThresholdSummary:
     """Fraction of beta_b > beta_w cells whose dose share exceeds the cutoff.
 
     Both comparisons are strict: a cell counts when beta_blue is strictly
     above beta_white and its share is strictly above the threshold.
     """
-    if not (0.0 < threshold < 1.0):
-        raise ModelInputError(f"threshold must lie in (0, 1), got {threshold!r}")
+    _check_threshold(threshold)
     riskier_blue, considered = _riskier_blue(sweep.beta_white, sweep.beta_blue)
-    if considered == 0:
-        raise ModelInputError("no cells with beta_blue > beta_white; grid too small")
-    above = sweep.v_blue_star / sweep.vaccines > threshold
-    exceeding = int(np.count_nonzero(riskier_blue & above))
-    return ThresholdSummary(
-        threshold=threshold,
-        share_exceeding=exceeding / considered,
-        cells_considered=considered,
-    )
+    exceeding = _exceeding(sweep.v_blue_star[riskier_blue], sweep.vaccines, threshold)
+    return ThresholdSummary(threshold, exceeding / considered, considered)
+
+
+def threshold_shares(profile: EconomyProfile, stocks: Iterable[float], grid: GridSpec,
+                     threshold: float) -> Iterator[ThresholdSummary]:
+    """``threshold_share`` of each stock's full lattice, solving only the cells it counts.
+
+    The call checks the stocks, then the threshold, and gathers the grid's
+    riskier-blue cells; they are solved when the iterator is first read, by
+    ``stock_solver`` in blocks of ``_BLOCK`` cells with each block's first
+    stage shared by every stock.  Each cell sees the same operations on the same
+    operands as in ``sweep_matrices``, so each summary equals
+    ``threshold_share(sweep_matrix(profile, v_over_l, grid), threshold)``.
+    """
+    risks = grid.values()
+    levels = _levels(profile, stocks, risks[:1], risks[0])  # GridSpec checked its own risks
+    _check_threshold(threshold)
+    cells = _riskier_blue_cells(grid)
+
+    def counted() -> Iterator[ThresholdSummary]:
+        exceeding = [0] * len(levels)
+        for start in range(0, cells.shape[1], _BLOCK):
+            solve_stock = stock_solver(profile, *cells[:, start:start + _BLOCK])
+            for k, (_, vaccines) in enumerate(levels):
+                exceeding[k] += _exceeding(solve_stock(vaccines)[0], vaccines, threshold)
+        # Free the last block's arrays before handing out a summary: a caller such as the
+        # CLI keeps every country's iterator until all are read, and the next country's
+        # kernel then reuses this memory instead of faulting in fresh pages.
+        del solve_stock
+        considered = cells.shape[1]
+        for count in exceeding:
+            yield ThresholdSummary(threshold, count / considered, considered)
+
+    return counted()

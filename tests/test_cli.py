@@ -570,8 +570,9 @@ def test_failed_json_output_leaves_no_file(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["matrices"]
 
 
+# summarize makes no pass: it solves only the cells it counts, through threshold_shares.
 @pytest.mark.parametrize("argv, passes", [
-    (["sweep"], 1), (["frontier"], 1), (["summarize"], 1), (["sweep", "--out-dir"], 1),
+    (["sweep"], 1), (["frontier"], 1), (["summarize"], 0), (["sweep", "--out-dir"], 1),
     (["sweep", "--format", "json", "--out-dir"], 1), (["sweep", "--format", "json"], 2),
 ])
 def test_lattice_commands_call_sweep_matrices_once_per_country_a_pass(
@@ -586,7 +587,19 @@ def test_lattice_commands_call_sweep_matrices_once_per_country_a_pass(
     code, _, err = run_cli(argv, capsys)
     assert (code, err) == (EXIT_OK, "")
     countries = len(load_countries(builtin_dataset_path()))
-    assert (len(calls), len(set(calls))) == (passes * countries, countries)
+    assert (len(calls), len(set(calls))) == (passes * countries, countries if passes else 0)
+
+
+def test_summarize_checks_its_threshold_before_solving(capsys, monkeypatch):
+    solves = []
+    monkeypatch.setattr(sweep, "stock_solver", lambda *args: solves.append(args))
+    code, out, err = run_cli(["summarize", "--threshold", "1.5", "--beta-step", "0.0005"], capsys)
+    assert (code, out, solves) == (EXIT_USAGE, "", [])
+    assert err == "vaxalloc: error: threshold must lie in (0, 1), got 1.5\n"
+    # every country's stocks are checked before the threshold
+    code, out, err = run_cli(["summarize", "--threshold", "1.5", "--v-over-l", "0.2,0"], capsys)
+    assert (code, out, solves) == (EXIT_USAGE, "", [])
+    assert err == "vaxalloc: error: v_over_l must lie in (0, 1), got 0.0\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

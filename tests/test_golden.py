@@ -43,6 +43,13 @@ CASES = {
                            "--format", "json"],
     "summarize_csv": ["summarize"],
     "summarize_json": ["summarize", "--format", "json"],
+    # From beta 0 at gamma = 1: the degenerate cell (0, 0) is on the diagonal, so not counted.
+    "summarize_fine_csv": ["summarize", "--gamma", "1.0", "--beta-min", "0", "--beta-max", "1",
+                           "--beta-step", "0.01", "--v-over-l", "0.05,0.5,0.95",
+                           "--threshold", "0.5"],
+    "summarize_fine_json": ["summarize", "--gamma", "1.0", "--beta-min", "0", "--beta-max", "1",
+                            "--beta-step", "0.01", "--v-over-l", "0.05,0.5,0.95",
+                            "--threshold", "0.5", "--format", "json"],
     "audit_csv": ["audit", "--beta-w", "0.1", "--beta-b", "0.6"],
     "audit_json": ["audit", "--beta-w", "0.1", "--beta-b", "0.6", "--format", "json"],
     "audit_no_refine_json": ["audit", "--beta-w", "0.1", "--beta-b", "0.6", "--no-refine",

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import labor_scale
 from vaxalloc import (
+    CountryRecord,
     GridSpec,
     ModelInputError,
     OracleConfig,
@@ -19,6 +22,7 @@ from vaxalloc import (
     sweep_matrices,
     sweep_matrix,
     threshold_share,
+    threshold_shares,
 )
 from vaxalloc import sweep
 from vaxalloc.cli import main
@@ -65,15 +69,24 @@ class TestGridSpec:
 
 
 class TestLatticeCache:
-    def test_summarize_builds_its_lattice_once(self, tmp_path):
+    def test_summarize_builds_its_lattice_once(self, tmp_path, monkeypatch):
+        # Every country's kernel calls read one gathered array of riskier-blue
+        # cells, built without the cached mask and freed when the run ends.
         caches = (sweep._lattice, sweep._riskier_blue)
         for cache in caches:
             cache.cache_clear()
+        cells, real = [], sweep.stock_solver
+        monkeypatch.setattr(sweep, "stock_solver", lambda profile, beta_white, beta_blue: (
+            cells.append((beta_white.base, beta_blue.base)) or real(profile, beta_white, beta_blue)))
         argv = ["summarize", "--beta-step", "0.01", "--v-over-l", "0.2,0.4,0.6",
                 "--output", str(tmp_path / "summary.csv")]
         assert main(argv) == 0
         assert (tmp_path / "summary.csv").read_text().count("\n") == 1 + 7 * 3
-        assert [cache.cache_info().misses for cache in caches] == [1, 1]
+        assert [cache.cache_info().misses for cache in caches] == [1, 0]
+        assert len(cells) == 7 and all(white is blue is cells[0][0] for white, blue in cells)
+        assert cells[0][0].shape == (2, 91 * 90 // 2)
+        cells.clear()  # the spy held the last reference
+        assert len(sweep._CELLS) == 0
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
     def test_equal_grids_keep_their_own_lattices(self, order):
@@ -320,3 +333,105 @@ class TestThresholdShare:
         for threshold in (0.0, 1.0):
             with pytest.raises(ModelInputError):
                 threshold_share(result, threshold)
+
+
+def _outcome(summaries):
+    """(share, cells) per summary, or the message of the ModelInputError raised."""
+    try:
+        return [(s.share_exceeding, s.cells_considered) for s in summaries()]
+    except ModelInputError as exc:
+        return str(exc)
+
+
+@st.composite
+def _grids(draw):
+    beta_min = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.95)))
+    beta_max = draw(st.one_of(st.just(1.0), st.floats(beta_min, 1.0, exclude_min=True)))
+    step = (beta_max - beta_min) / draw(st.floats(1.0, 40.0))
+    try:
+        return GridSpec(beta_min, beta_max, step)
+    except ModelInputError:  # a step that underflows, or rounds to one point
+        return GridSpec(0.0, 1.0, 0.25)
+
+
+class TestThresholdShares:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        employment=st.floats(1.0, 1e9),
+        share=st.floats(0.01, 0.99),
+        gamma=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+        grid=_grids(),
+        stocks=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                        min_size=1, max_size=3),
+        threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        block=st.sampled_from([7, sweep._BLOCK]),
+    )
+    # degenerate cells: beta = 0 on both axes at gamma = 1
+    @example(employment=1000.0, share=0.3, gamma=1.0, grid=GridSpec(0.0, 1.0, 0.25),
+             stocks=[0.2, 0.95], threshold=0.3, block=7)
+    # values that all round to one risk: no riskier-blue cell
+    @example(employment=1000.0, share=0.3, gamma=0.8, grid=GridSpec(0.5, 0.5 + 1e-14, 1e-15),
+             stocks=[0.2], threshold=0.5, block=sweep._BLOCK)
+    def test_each_summary_equals_threshold_share_of_the_full_lattice(
+        self, employment, share, gamma, grid, stocks, threshold, block
+    ):
+        profile = calibrate(CountryRecord("XX", employment, share), gamma)
+        expected = _outcome(lambda: [threshold_share(sweep_matrix(profile, v_over_l, grid),
+                                                     threshold) for v_over_l in stocks])
+        saved, sweep._BLOCK = sweep._BLOCK, block
+        try:
+            assert _outcome(lambda: threshold_shares(profile, stocks, grid, threshold)) == expected
+        finally:
+            sweep._BLOCK = saved
+
+    def test_checks_stocks_then_threshold_before_gathering(self, countries, monkeypatch):
+        monkeypatch.setattr(sweep, "_riskier_blue_cells", None)  # gathering would raise TypeError
+        profile = calibrate(countries["XA"], gamma=0.8)
+        lonely = GridSpec(0.5, 0.5 + 1e-14, 1e-15)  # its values all round to 0.5
+        with pytest.raises(ModelInputError, match=r"v_over_l must lie in \(0, 1\), got 0\.0$"):
+            threshold_shares(profile, (0.2, 0.0), lonely, 1.5)
+        with pytest.raises(ModelInputError, match=r"threshold must lie in \(0, 1\), got 1\.5$"):
+            threshold_shares(profile, (0.2,), lonely, 1.5)
+        monkeypatch.undo()
+        with pytest.raises(ModelInputError, match="grid too small"):
+            threshold_shares(profile, (0.2,), lonely, 0.5)
+
+    def test_a_share_equal_to_the_threshold_is_not_counted(self, countries):
+        profile = calibrate(countries["XD"], gamma=0.8)
+        lattice = sweep_matrix(profile, 0.2)
+        shares = (lattice.v_blue_star / lattice.vaccines)[
+            np.less.outer(lattice.beta_white, lattice.beta_blue)]
+        interior = np.sort(shares[(0.0 < shares) & (shares < 1.0)])
+        threshold = float(interior[interior.size // 2])
+        assert np.count_nonzero(shares == threshold) > 0
+        expected = np.count_nonzero(shares > threshold) / shares.size
+        for summary in (threshold_share(lattice, threshold),
+                        *threshold_shares(profile, (0.2,), GridSpec(), threshold)):
+            assert summary.share_exceeding == expected
+
+    def test_memory_stays_below_a_lattice_solve_and_nothing_outlives_the_call(self, countries):
+        profile = calibrate(countries["XA"], gamma=0.8)
+        grid = GridSpec(0.0, 1.0, 0.001)
+        assert grid.points == 1001 and len(grid.values()) == 1001  # the lattice tuple is cached
+        peaks = []
+        for run in (lambda: sweep_matrix(profile, 0.4, grid),
+                    lambda: list(threshold_shares(profile, (0.4,), grid, 0.66))):
+            tracemalloc.start()
+            try:
+                run()
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] <= 1.25 * peaks[0]
+        assert retained < 2**18  # the lattice's riskier-blue mask alone is 0.96 MiB
+        assert len(sweep._CELLS) == 0
+        # A suspended iterator holds the gathered cells but no kernel arrays.
+        tracemalloc.start()
+        try:
+            summaries = threshold_shares(profile, (0.2, 0.4), grid, 0.66)
+            next(summaries)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < sweep._CELLS[grid].nbytes + 2**18
