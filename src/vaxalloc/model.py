@@ -159,7 +159,11 @@ class Scenario(_Frozen):
         """Build a scenario whose stock covers a fraction v_over_l of the workforce."""
         if not (0.0 < v_over_l < 1.0):
             raise ModelInputError(f"v_over_l must lie in (0, 1), got {v_over_l!r}")
-        return cls(beta_white, beta_blue, v_over_l * profile.total_labor)
+        vaccines = v_over_l * profile.total_labor
+        if vaccines == 0.0:  # no stock to split: every per-dose ratio would divide by zero
+            raise ModelInputError(f"v_over_l {v_over_l!r} of total labor "
+                                  f"{profile.total_labor!r} rounds to 0 vaccines")
+        return cls(beta_white, beta_blue, vaccines)
 
 
 class AllocationResult(_Frozen):

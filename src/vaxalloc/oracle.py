@@ -7,14 +7,16 @@ pins the minimizer to machine precision near the kink.  Used by the test
 suite as an independent check of the closed-form solver and exposed through
 the CLI `audit` subcommand.
 
-The grid is never built whole: each block of `_BLOCK` (16,000) points is
-computed from its indices, held in a third reused buffer, with the values
-`np.linspace` gives, so no temporary is as large as the grid: three 125 KiB
-buffers at any grid size.  Each point gets the same IEEE operations on the
-same operands as a whole-array evaluation, and the blocks' first minima are
-combined with `np.argmin`, so the first minimum (or the first NaN) wins
-exactly as it would over the whole grid.  The refinement reuses the grid's
-no-dose labor terms, which round as the full expression does.
+The grid is never built.  Each operation that makes the signed gap
+alpha_b*eff_b - alpha_w*eff_w is correctly rounded and monotone in v_blue
+(beta_b, the white dose value and the alphas are >= 0), so the gap never
+falls along the grid, and a NaN, only ever inf - inf, comes after gaps of
+-inf.  Bisection finds the first point whose gap is not < 0 and the first
+point of the last negative plateau before it; the one with the smaller |gap|
+(the earlier on a tie) is the first minimum, or first NaN, that a scan of
+every point would return, with the same IEEE operations at the same points.
+The refinement reuses the grid's no-dose labor terms, which round as the
+full expression does.
 """
 
 from __future__ import annotations
@@ -27,14 +29,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Largest search grid accepted: ten times the default.
 MAX_ORACLE_POINTS = 1_000_001
-
-# Points evaluated per block: three float64 buffers of 125 KiB, below glibc's
-# 128 KiB mmap threshold, so they come from the heap and not fresh pages, in
-# as few numpy calls as that allows.  Per default refined call on a shared
-# 2-vCPU VM (Python 3.11, numpy 2.4): 8,192 points 582 us, 12,000 513 us,
-# 16,000 488 us, 16,376 502 us; 32,768 passed the threshold and took 820 us.
-_BLOCK = 16_000
-
 
 class OracleConfig(_Frozen):
     grid_points: int = 100_001
@@ -81,20 +75,21 @@ def brute_force_optimum(
     base_b = (1.0 - beta_b) * labor_b
     base_w = (1.0 - beta_w) * gamma * labor_w
 
-    def objective_at(v_blue: float) -> float:
+    def gap(v_blue: float) -> float:
         eff_b = base_b + beta_b * v_blue
         eff_w = base_w + dose_value_w * (vaccines - v_blue)
-        return abs(alpha_b * eff_b - alpha_w * eff_w)
+        return alpha_b * eff_b - alpha_w * eff_w
+
+    def objective_at(v_blue: float) -> float:
+        return abs(gap(v_blue))
 
     if vaccines == 0.0:
         return 0.0, objective_at(0.0)
 
-    import numpy as np
-
-    # The grid is np.linspace(0.0, vaccines, n) point for point, built a block
-    # at a time from its indices: i * step, (i / div) * vaccines when the step
-    # underflows to 0, and vaccines itself last.  linspace also adds 0.0, which
-    # changes no value here since every point is >= +0.0.
+    # The grid is np.linspace(0.0, vaccines, n) point for point: i * step,
+    # (i / div) * vaccines when the step underflows to 0, and vaccines itself
+    # last.  linspace also adds 0.0, which changes no value here since every
+    # point is >= +0.0.
     n = config.grid_points
     div = n - 1
     step = config.step(vaccines)
@@ -104,39 +99,24 @@ def brute_force_optimum(
             return vaccines
         return i / div * vaccines if step == 0.0 else i * step
 
-    # |alpha_b * (base_b + beta_b*v) - alpha_w * (base_w + dose_value_w*(V - v))| per point,
-    # operation by operation in place; swapping the operands of + or * is exact.
-    size = min(_BLOCK, n)
-    indices, blue, white = np.arange(size, dtype=float), np.empty(size), np.empty(size)
-    firsts, minima = [], []
-    for start in range(0, n, _BLOCK):
-        count = min(_BLOCK, n - start)
-        i, b, w = indices[:count], blue[:count], white[:count]
-        if start:
-            i += _BLOCK  # integers, exact as doubles far beyond the cap
-        if step == 0.0:
-            np.divide(i, div, out=b)
-            b *= vaccines
-        else:
-            np.multiply(i, step, out=b)
-        if start + count == n:
-            b[-1] = vaccines
-        np.subtract(vaccines, b, out=w)
-        b *= beta_b
-        b += base_b
-        b *= alpha_b
-        w *= dose_value_w
-        w += base_w
-        w *= alpha_w
-        b -= w
-        np.abs(b, out=b)
-        first = int(np.argmin(b))  # first minimum: ties go to the smaller v_blue
-        firsts.append(start + first)
-        minima.append(b[first])
-    block = int(np.argmin(minima))  # first block holding the grid's first minimum (or NaN)
-    index = firsts[block]
+    def first(low: int, high: int, holds) -> int:
+        """First i in [low, high) whose gap holds, else high; holds is false, then true."""
+        while low < high:
+            mid = (low + high) // 2
+            if holds(gap(point(mid))):
+                high = mid
+            else:
+                low = mid + 1
+        return low
+
+    index = first(0, n, lambda d: not d < 0.0)  # first gap >= 0, or the first NaN
+    if index:
+        below = gap(point(index - 1))  # the last negative plateau; -inf before a NaN
+        above = gap(point(index)) if index < n else math.inf
+        if -below <= above:  # false at a NaN; a tie goes to the smaller v_blue
+            index = first(0, index - 1, lambda d: d >= below)
     best_v = point(index)
-    best_value = float(minima[block])
+    best_value = objective_at(best_v)
 
     if config.refine:
         low = point(max(index - 1, 0))

@@ -440,9 +440,24 @@ def test_reused_parser_carries_no_flag_between_calls(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
-def test_calibrate_and_solve_never_import_numpy(tmp_path):
+@pytest.mark.parametrize("command", [["solve", "--beta-w", "0.1", "--beta-b", "0.5"],
+                                     ["audit", "--beta-w", "0.1", "--beta-b", "0.5"],
+                                     ["sweep"], ["frontier"], ["summarize"]],
+                         ids=lambda command: command[0])
+def test_stock_that_rounds_to_zero_vaccines_exits_1_with_one_line(command, tmp_path, capsys):
+    # 5e-324 of 1e-300 heads is 0.0 doses, which solve divided by (a traceback)
+    # and the lattice commands turned into numpy warnings and nan ratios.
+    dataset = tmp_path / "tiny.csv"
+    dataset.write_text("country,employment,telework_share\nXA,1e-300,0.5\n")
+    code, out, err = run_cli(command + ["--input", str(dataset), "--v-over-l", "5e-324"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and "v_over_l 5e-324" in err and "0 vaccines" in err
+
+
+def test_calibrate_solve_and_audit_never_import_numpy(tmp_path):
     # Also none of the other modules calibrate and solve do without; modules
-    # the interpreter's site loaded before the snapshot do not count.
+    # the interpreter's site loaded before the snapshot do not count.  The
+    # oracle bisects in Python floats, so audit loads it and still no numpy.
     script = "\n".join([
         "import sys",
         "before = set(sys.modules)",
@@ -455,11 +470,12 @@ def test_calibrate_and_solve_never_import_numpy(tmp_path):
         "unneeded = {'numpy', 'dataclasses', 'inspect', 'json', 'vaxalloc.oracle',",
         "            'vaxalloc.sweep'} & (set(sys.modules) - before)",
         "assert not unneeded, f'calibrate or solve loaded {sorted(unneeded)}'",
-        "assert main(['sweep', '--country', 'XA', '--output', out]) == 0",
-        "assert 'numpy' in sys.modules, 'numpy not loaded by sweep'",
         "assert main(['audit', '--country', 'XA', '--beta-w', '0.1', '--beta-b', '0.6',",
         "             '--grid-points', '101', '--format', 'json', '--output', out]) == 0",
         "assert 'vaxalloc.oracle' in sys.modules, 'oracle not loaded by audit'",
+        "assert 'numpy' not in sys.modules, 'numpy loaded by audit'",
+        "assert main(['sweep', '--country', 'XA', '--output', out]) == 0",
+        "assert 'numpy' in sys.modules, 'numpy not loaded by sweep'",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

@@ -61,6 +61,12 @@ class TestValidation:
             with pytest.raises(ModelInputError):
                 Scenario.with_coverage(example_profile, 0.1, 0.5, bad)
 
+    def test_with_coverage_rejects_a_stock_that_rounds_to_zero(self):
+        tiny = EconomyProfile(1e-300, 1e-300, 1.0, 1.0, 0.5)
+        with pytest.raises(ModelInputError, match="v_over_l 5e-324 .* rounds to 0 vaccines"):
+            Scenario.with_coverage(tiny, 0.1, 0.5, 5e-324)
+        assert Scenario.with_coverage(tiny, 0.1, 0.5, 1e-10).vaccines == 2e-310
+
     def test_solve_checks_the_pair_once_and_public_helpers_still_check(
         self, example_profile, monkeypatch
     ):

@@ -15,7 +15,7 @@ from vaxalloc import (
     objective,
     solve,
 )
-from vaxalloc.oracle import _BLOCK, MAX_ORACLE_POINTS, _golden_section
+from vaxalloc.oracle import MAX_ORACLE_POINTS, _golden_section
 
 
 def test_rejects_tiny_grids():
@@ -94,7 +94,7 @@ def test_deterministic_for_fixed_inputs(example_profile):
 
 
 def _whole_array_optimum(profile, scenario, config):
-    """brute_force_optimum as it was before blocking: every step one array over the grid."""
+    """brute_force_optimum as a scan: every step one array over the whole grid."""
     vaccines = scenario.vaccines
     beta_b, beta_w = scenario.beta_blue, scenario.beta_white
     gamma = profile.gamma
@@ -137,7 +137,7 @@ def _assert_same_as_whole_array(profile, scenario, config):
 
 @pytest.mark.parametrize("refine", [False, True])
 @pytest.mark.parametrize("points", [3, 8191, 8192, 8193, 16385, 100_001, MAX_ORACLE_POINTS,
-                                    _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+                                    15_999, 16_000, 16_001, 32_001])
 def test_blocked_grid_equals_whole_array(points, refine, example_profile):
     for scenario in (Scenario(0.05, 0.3, 20.0), Scenario(0.17, 0.42, 33.0)):
         _assert_same_as_whole_array(example_profile, scenario, OracleConfig(points, refine))
@@ -149,10 +149,9 @@ def test_blocked_grid_equals_whole_array_at_the_ends_and_a_block_edge(refine, ex
     for scenario, v_blue in ((Scenario(0.9, 0.05, 20.0), 0.0), (Scenario(0.05, 0.9, 20.0), 20.0)):
         config = OracleConfig(20_001, refine)
         assert _assert_same_as_whole_array(example_profile, scenario, config)[0] == v_blue
-    # Step 1.0 and the root at v = 0.4 V: at 8192, and at _BLOCK, the first
-    # point of the second block (which 8192 also was, with 8,192-point blocks).
+    # Step 1.0 and the root at v = 0.4 V, exactly on a grid point: 8192 or 16,000.
     profile = EconomyProfile(60_000.0, 40_000.0, 1.0, 1.5, 1.0)
-    for root in (8192, _BLOCK):
+    for root in (8192, 16_000):
         v_blue, _ = _assert_same_as_whole_array(profile, Scenario(0.2, 0.2, 2.5 * root),
                                                 OracleConfig(int(2.5 * root) + 1, refine))
         if not refine:
@@ -210,17 +209,17 @@ def test_blocked_grid_equals_whole_array_property(labor, alpha, gamma, betas, co
     _assert_same_as_whole_array(profile, scenario, OracleConfig(points, refine))
 
 
-def test_block_buffers_stay_below_the_mmap_threshold():
-    # glibc serves requests of 128 KiB and up with fresh mmap pages; the three
-    # block buffers must come from the heap.
-    assert _BLOCK * 8 < 128 * 1024
+def test_exact_tie_goes_to_the_smaller_v_blue():
+    # gap = 2 v - 14 on the grid 0, 2, 4, 6, 8: -2.0 at v = 6 and +2.0 at v = 8.
+    profile = EconomyProfile(60, 40, 1, 2, 1)
+    config = OracleConfig(5, refine=False)
+    assert _assert_same_as_whole_array(profile, Scenario(0.5, 0.75, 8.0), config) == (6.0, 2.0)
 
 
 @pytest.mark.parametrize("points", [100_001, MAX_ORACLE_POINTS])
 def test_oracle_allocates_no_grid_sized_temporaries(points, example_profile):
     # The grid would be 0.76 MiB at 100,001 points and 7.6 MiB at the cap; the
-    # oracle holds three 125 KiB block buffers instead, a traced peak of about
-    # 0.37 MiB at any size.
+    # bisection holds a few floats and closures instead, whatever the size.
     scenario = Scenario(0.05, 0.3, 20.0)
     config = OracleConfig(points)
     brute_force_optimum(example_profile, scenario, config)
@@ -230,4 +229,4 @@ def test_oracle_allocates_no_grid_sized_temporaries(points, example_profile):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * 2**20
+    assert peak < 16 * 2**10
