@@ -7,7 +7,8 @@ lattices from ``sweep.sweep_matrices`` to ``_write_lattices``, the only two
 emitters: long-format CSV, or JSON with provenance metadata.
 
 Exit codes: 0 success, 1 usage or input-validation failure, 2 data error,
-141 standard output closed early (as for a tool killed by SIGPIPE).
+130 interrupted (Ctrl-C), 141 standard output closed early (as for a tool
+killed by SIGPIPE), 143 terminated by SIGTERM.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import argparse
 import csv
 import errno
 import os
+import signal
 import stat
 import sys
+import threading
 from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -39,7 +42,9 @@ DATASET_ENV_VAR = "VAXALLOC_DATASET"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+EXIT_INTERRUPT = 130  # 128 + SIGINT
 EXIT_PIPE = 141  # 128 + SIGPIPE
+EXIT_TERM = 143  # 128 + SIGTERM
 
 # lstat errors that mean "no such file" to pathlib's checks; others are raised.
 _MISSING = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
@@ -66,6 +71,14 @@ class UsageError(Exception):
 
 class _StdoutClosed(Exception):
     """The reader of standard output went away before it was all written."""
+
+
+class _Terminated(BaseException):  # as KeyboardInterrupt, so no `except Exception` stops it
+    """SIGTERM arrived while ``main`` ran."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
 
 
 class _Parser(argparse.ArgumentParser):
@@ -331,15 +344,10 @@ def _solve_rows(args, profiles, _):
 
 def _summarize_rows(args, profiles, grid: GridSpec):
     from .sweep import threshold_shares
-    # Each call checks its stocks, then the threshold.  A stock's check depends on the
-    # country only through its total labor, which calibrate keeps finite, so the first
-    # error is the one a check of every country's stocks before the threshold would give.
-    checked = [(record.country_code, threshold_shares(profile, args.v_over_l, grid,
-                                                      args.threshold))
-               for record, profile in profiles]  # the calls alive at once gather the cells once
-    return [(country, v_over_l, args.threshold, summary.share_exceeding)
-            for country, summaries in checked
-            for v_over_l, summary in zip(args.v_over_l, summaries)], {"grid": vars(grid)}
+    summaries = threshold_shares([profile for _, profile in profiles], args.v_over_l, grid,
+                                 args.threshold)
+    return [(record.country_code, v_over_l, args.threshold, next(summaries).share_exceeding)
+            for record, _ in profiles for v_over_l in args.v_over_l], {"grid": vars(grid)}
 
 
 def _audit_rows(args, profiles, config):
@@ -408,9 +416,13 @@ _parser: Optional[_Parser] = None
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     global _parser
-    if _parser is None:
-        _parser = build_parser()
+    # Only the main thread may set a handler, and an ignored SIGTERM stays ignored.
+    ours = (threading.current_thread() is threading.main_thread()
+            and signal.getsignal(signal.SIGTERM) is not signal.SIG_IGN)
+    previous = signal.signal(signal.SIGTERM, _terminate) if ours else None
     try:
+        if _parser is None:
+            _parser = build_parser()
         args = _parse_args(_parser, sys.argv[1:] if argv is None else argv)
         records, provenance = _select_records(args)
         return _run(args, records, provenance)
@@ -428,6 +440,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return EXIT_PIPE
+    except KeyboardInterrupt:  # _opened has removed an output file in progress
+        print("vaxalloc: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
+    except _Terminated:
+        print("vaxalloc: terminated", file=sys.stderr)
+        return EXIT_TERM
+    finally:
+        if ours:  # put the caller's handler back; None is one set outside Python
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 if __name__ == "__main__":

@@ -6,22 +6,22 @@ frontier replaces the white-collar axis by a list of risks: each row is a
 curve of the optimal blue-collar dose share against blue-collar risk.
 Threshold summaries count the above-diagonal cells (beta_b > beta_w) whose
 share exceeds a cutoff: ``threshold_share`` on a solved lattice, or
-``threshold_shares``, which solves only those cells.  ``sweep_matrices`` and
-``threshold_shares`` check stocks through ``_levels``, and both summaries
-count through ``_exceeding``.
+``threshold_shares``, which solves only those cells for every profile of a
+run.  ``sweep_matrices`` and ``threshold_shares`` check stocks through
+``_levels``, and both summaries count through ``_exceeding``.
 
 Cells are solved by the two-stage array kernel ``model.stock_solver``,
-which matches the scalar ``solve`` bit for bit, on risk axes built once per
-grid: one country's stocks share its first stage.  The ``AllocationResult``
-objects are only built when ``SweepGrid.cells`` is read.
+which matches the scalar ``solve`` bit for bit: one country's stocks share
+its first stage.  The module caches only the risk tuples of recent grids
+(``_lattice``); ``AllocationResult`` objects are built by the scalar ``solve``
+each time ``SweepGrid.cells`` is read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import weakref
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -86,63 +86,14 @@ def _lattice(beta_min: float, step: float, points: int) -> tuple[float, ...]:
     return tuple(round(beta_min + i * step, 12) for i in range(points))
 
 
-@functools.lru_cache(maxsize=4)
-def _riskier_blue(beta_white: tuple, beta_blue: tuple) -> tuple[np.ndarray, int]:
-    """Read-only beta_blue > beta_white mask of a lattice, and its count, which is positive."""
+def _riskier_blue(beta_white: tuple | np.ndarray,
+                  beta_blue: tuple | np.ndarray) -> tuple[np.ndarray, int]:
+    """beta_blue > beta_white mask of a lattice, and its count, which is positive."""
     mask = np.less.outer(beta_white, beta_blue)
-    mask.flags.writeable = False
     considered = int(np.count_nonzero(mask))
     if considered == 0:
         raise ModelInputError("no cells with beta_blue > beta_white; grid too small")
     return mask, considered
-
-
-# GridSpec -> its riskier-blue cells, while some threshold_shares iterator holds them.
-_CELLS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _riskier_blue_cells(grid: GridSpec) -> np.ndarray:
-    """(2, k) array of the beta_white and beta_blue of each riskier-blue cell, row-major.
-
-    Built from the uncached ``_riskier_blue`` mask once for the calls alive at
-    the same time, and freed with the last of them: nothing grid-sized is cached.
-    """
-    cells = _CELLS.get(grid)
-    if cells is None:
-        axis = np.asarray(grid.values(), dtype=float)
-        mask, considered = _riskier_blue.__wrapped__(axis, axis)
-        cells = _CELLS[grid] = np.empty((2, considered))
-        cells[0] = np.broadcast_to(axis[:, None], mask.shape)[mask]
-        cells[1] = np.broadcast_to(axis, mask.shape)[mask]
-        cells.flags.writeable = False
-    return cells
-
-
-class _Cells(Mapping):
-    """Read-only (beta_w, beta_b) -> AllocationResult view of a SweepGrid.
-
-    Each access runs the scalar ``solve`` on that cell, so callers that
-    need the full accounting (surpluses, objective) get it without the
-    sweep storing one object per cell.
-    """
-
-    def __init__(self, sweep: SweepGrid) -> None:
-        self._sweep = sweep
-        self._white = dict.fromkeys(sweep.beta_white)  # distinct risks, in first-seen order
-        self._blue = dict.fromkeys(sweep.beta_blue)
-
-    def __getitem__(self, key: tuple[float, float]) -> AllocationResult:
-        if not (isinstance(key, tuple) and len(key) == 2
-                and key[0] in self._white and key[1] in self._blue):
-            raise KeyError(key)
-        sweep = self._sweep
-        return solve(sweep.profile, Scenario(key[0], key[1], sweep.vaccines))
-
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return ((w, b) for w in self._white for b in self._blue)
-
-    def __len__(self) -> int:
-        return len(self._white) * len(self._blue)
 
 
 class SweepGrid(_Frozen, eq=False):
@@ -162,9 +113,10 @@ class SweepGrid(_Frozen, eq=False):
     clamp: np.ndarray
 
     @property
-    def cells(self) -> Mapping[tuple[float, float], AllocationResult]:
-        """Full per-cell results, solved lazily on access."""
-        return _Cells(self)
+    def cells(self) -> dict[tuple[float, float], AllocationResult]:
+        """Each cell's scalar ``solve``, built on each read: n**2 solves, for small lattices."""
+        return {(beta_w, beta_b): solve(self.profile, Scenario(beta_w, beta_b, self.vaccines))
+                for beta_w in self.beta_white for beta_b in self.beta_blue}
 
 
 class ThresholdSummary(_Frozen):
@@ -219,8 +171,8 @@ def sweep_matrix(profile: EconomyProfile, v_over_l: float, grid: GridSpec = Grid
                  workers: int = 1) -> SweepGrid:
     """Solve every lattice cell at a fixed stock level: ``sweep_matrices`` for one stock.
 
-    ``workers`` is accepted for compatibility and ignored: the whole lattice
-    is one array computation.
+    ``workers`` is ignored: the whole lattice is one array computation.  It stays
+    only for the benchmark's pool probe, which passes it, until that probe goes.
     """
     return next(sweep_matrices(profile, (v_over_l,), grid))
 
@@ -247,34 +199,39 @@ def threshold_share(sweep: SweepGrid, threshold: float) -> ThresholdSummary:
     return ThresholdSummary(threshold, exceeding / considered, considered)
 
 
-def threshold_shares(profile: EconomyProfile, stocks: Iterable[float], grid: GridSpec,
-                     threshold: float) -> Iterator[ThresholdSummary]:
-    """``threshold_share`` of each stock's full lattice, solving only the cells it counts.
+def threshold_shares(profiles: Iterable[EconomyProfile], stocks: Iterable[float],
+                     grid: GridSpec, threshold: float) -> Iterator[ThresholdSummary]:
+    """``threshold_share`` of each (profile, stock) full lattice, profile-major.
 
-    The call checks the stocks, then the threshold, and gathers the grid's
-    riskier-blue cells; they are solved when the iterator is first read, by
-    ``stock_solver`` in blocks of ``_BLOCK`` cells with each block's first
-    stage shared by every stock.  Each cell sees the same operations on the same
-    operands as in ``sweep_matrices``, so each summary equals
+    The call reads ``stocks`` once, checks every profile's stocks, then the
+    threshold, and gathers the grid's riskier-blue cells, which live as long as
+    the iterator.  Only they are solved, by ``stock_solver`` in blocks of
+    ``_BLOCK`` with each block's first stage shared by the stocks, with the same
+    operations on the same operands as in ``sweep_matrices``: each summary equals
     ``threshold_share(sweep_matrix(profile, v_over_l, grid), threshold)``.
     """
     risks = grid.values()
-    levels = _levels(profile, stocks, risks[:1], risks[0])  # GridSpec checked its own risks
+    stocks = tuple(stocks)
+    levels = [(profile, _levels(profile, stocks, risks[:1], risks[0]))  # GridSpec checked risks
+              for profile in profiles]
     _check_threshold(threshold)
-    cells = _riskier_blue_cells(grid)
+    axis = np.asarray(risks, dtype=float)
+    mask, considered = _riskier_blue(axis, axis)
+    cells = np.empty((2, considered))  # beta_white and beta_blue of each cell, row-major
+    cells[0] = np.broadcast_to(axis[:, None], mask.shape)[mask]
+    cells[1] = np.broadcast_to(axis, mask.shape)[mask]
 
     def counted() -> Iterator[ThresholdSummary]:
-        exceeding = [0] * len(levels)
-        for start in range(0, cells.shape[1], _BLOCK):
-            solve_stock = stock_solver(profile, *cells[:, start:start + _BLOCK])
-            for k, (_, vaccines) in enumerate(levels):
-                exceeding[k] += _exceeding(solve_stock(vaccines)[0], vaccines, threshold)
-        # Free the last block's arrays before handing out a summary: a caller such as the
-        # CLI keeps every country's iterator until all are read, and the next country's
-        # kernel then reuses this memory instead of faulting in fresh pages.
-        del solve_stock
-        considered = cells.shape[1]
-        for count in exceeding:
-            yield ThresholdSummary(threshold, count / considered, considered)
+        for profile, stock_levels in levels:
+            exceeding = [0] * len(stock_levels)
+            for start in range(0, considered, _BLOCK):
+                solve_stock = stock_solver(profile, *cells[:, start:start + _BLOCK])
+                for k, (_, vaccines) in enumerate(stock_levels):
+                    exceeding[k] += _exceeding(solve_stock(vaccines)[0], vaccines, threshold)
+            # Free the last block's arrays before handing out a summary: the next
+            # profile's kernel then reuses this memory instead of faulting in fresh pages.
+            del solve_stock
+            for count in exceeding:
+                yield ThresholdSummary(threshold, count / considered, considered)
 
     return counted()

@@ -5,8 +5,10 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -28,7 +30,8 @@ from vaxalloc import (
     threshold_share,
 )
 from vaxalloc import cli, sweep
-from vaxalloc.cli import EXIT_DATA, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
+from vaxalloc.cli import (EXIT_DATA, EXIT_INTERRUPT, EXIT_OK, EXIT_PIPE, EXIT_TERM,
+                          EXIT_USAGE, main)
 from vaxalloc.sweep import MAX_GRID_POINTS
 
 
@@ -644,6 +647,76 @@ def test_closed_stdout_pipe_exits_141_silently():
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+_SIGNAL_ENDS = {signal.SIGINT: (EXIT_INTERRUPT, b"vaxalloc: interrupted\n"),
+                signal.SIGTERM: (EXIT_TERM, b"vaxalloc: terminated\n")}
+
+
+def _signal_when(path_of_pid, args, signum):
+    """Run the CLI, send ``signum`` once ``path_of_pid(pid)`` exists; return (code, stderr)."""
+    if signal.getsignal(signum) is signal.SIG_IGN:  # the child would inherit it
+        pytest.skip(f"{signum.name} is ignored in this process")
+    proc = _cli_process(args, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not path_of_pid(proc.pid).exists():
+            assert proc.poll() is None and time.monotonic() < deadline, "no temporary file"
+            time.sleep(0.005)
+        proc.send_signal(signum)
+        return proc.wait(timeout=60), proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
+_FINE = ["sweep", "--country", "XA", "--beta-min", "0", "--beta-max", "1", "--v-over-l"]
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)
+def test_a_signal_ends_a_run_with_one_line_and_no_output(signum, tmp_path):
+    # A 2,001-point lattice takes seconds to write: the signal comes mid-run.
+    target = tmp_path / "s.csv"
+    ended = _signal_when(lambda pid: tmp_path / f".s.csv.{pid}.tmp",
+                         [*_FINE, "0.2", "--beta-step", "0.0005", "--output", str(target)], signum)
+    assert ended == _SIGNAL_ENDS[signum]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)
+def test_a_signal_keeps_the_out_dir_files_already_written(signum, tmp_path):
+    # The signal comes while the second of two 1,001-point lattices is written.
+    ended = _signal_when(lambda pid: tmp_path / f".sweep_XA_0.4.csv.{pid}.tmp",
+                         [*_FINE, "0.2,0.4", "--beta-step", "0.001", "--out-dir", str(tmp_path)],
+                         signum)
+    assert ended == _SIGNAL_ENDS[signum]
+    assert [path.name for path in tmp_path.iterdir()] == ["sweep_XA_0.2.csv"]
+    written = (tmp_path / "sweep_XA_0.2.csv").read_bytes()
+    assert written.count(b"\n") == 1 + 1001**2
+    assert written.rsplit(b"\n", 2)[1].startswith(b"XA,0.2,1.0,1.0,")  # the last cell
+
+
+def test_main_holds_its_sigterm_handler_only_while_it_runs(capsys, monkeypatch):
+    def caller(signum, frame):
+        pass
+
+    seen, real = [], cli._run
+    monkeypatch.setattr(cli, "_run", lambda *args: seen.append(
+        signal.getsignal(signal.SIGTERM)) or real(*args))
+    for before in (caller, signal.SIG_IGN):  # an ignored SIGTERM stays ignored
+        previous = signal.signal(signal.SIGTERM, before)
+        try:
+            assert main(["calibrate"]) == EXIT_OK
+            assert signal.getsignal(signal.SIGTERM) is before
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+    assert seen == [cli._terminate, signal.SIG_IGN]
+    # Off the main thread, where no handler can be set, main runs with the caller's.
+    worker = threading.Thread(target=lambda: seen.append(main(["calibrate"])))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and seen[2:] == [signal.getsignal(signal.SIGTERM), EXIT_OK]
+    capsys.readouterr()
 
 
 def test_closed_stdout_in_process_keeps_fd_1(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -71,10 +72,8 @@ class TestGridSpec:
 class TestLatticeCache:
     def test_summarize_builds_its_lattice_once(self, tmp_path, monkeypatch):
         # Every country's kernel calls read one gathered array of riskier-blue
-        # cells, built without the cached mask and freed when the run ends.
-        caches = (sweep._lattice, sweep._riskier_blue)
-        for cache in caches:
-            cache.cache_clear()
+        # cells, freed when the run ends.
+        sweep._lattice.cache_clear()
         cells, real = [], sweep.stock_solver
         monkeypatch.setattr(sweep, "stock_solver", lambda profile, beta_white, beta_blue: (
             cells.append((beta_white.base, beta_blue.base)) or real(profile, beta_white, beta_blue)))
@@ -82,11 +81,12 @@ class TestLatticeCache:
                 "--output", str(tmp_path / "summary.csv")]
         assert main(argv) == 0
         assert (tmp_path / "summary.csv").read_text().count("\n") == 1 + 7 * 3
-        assert [cache.cache_info().misses for cache in caches] == [1, 0]
+        assert sweep._lattice.cache_info().misses == 1
         assert len(cells) == 7 and all(white is blue is cells[0][0] for white, blue in cells)
         assert cells[0][0].shape == (2, 91 * 90 // 2)
+        gathered = weakref.ref(cells[0][0])
         cells.clear()  # the spy held the last reference
-        assert len(sweep._CELLS) == 0
+        assert gathered() is None
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
     def test_equal_grids_keep_their_own_lattices(self, order):
@@ -99,13 +99,9 @@ class TestLatticeCache:
         assert [(type(v), math.copysign(1.0, v)) for v in values[1] + values[2]] == [
             (float, 1.0)] * 4
 
-    def test_shared_lattice_and_mask_are_read_only(self):
+    def test_shared_lattice_is_read_only(self):
         lattice = GridSpec().values()
         assert isinstance(lattice, tuple) and GridSpec().values() is lattice
-        mask, considered = sweep._riskier_blue(lattice, lattice)
-        assert considered == 19 * 18 // 2
-        with pytest.raises(ValueError, match="read-only"):
-            mask[0, 1] = False
 
 
 def _shares(row):
@@ -357,8 +353,8 @@ def _grids(draw):
 class TestThresholdShares:
     @settings(max_examples=40, deadline=None)
     @given(
-        employment=st.floats(1.0, 1e9),
-        share=st.floats(0.01, 0.99),
+        records=st.lists(st.tuples(st.floats(1.0, 1e9), st.floats(0.01, 0.99)),
+                         min_size=1, max_size=3),
         gamma=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
         grid=_grids(),
         stocks=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -367,34 +363,50 @@ class TestThresholdShares:
         block=st.sampled_from([7, sweep._BLOCK]),
     )
     # degenerate cells: beta = 0 on both axes at gamma = 1
-    @example(employment=1000.0, share=0.3, gamma=1.0, grid=GridSpec(0.0, 1.0, 0.25),
+    @example(records=[(1000.0, 0.3), (2e6, 0.45)], gamma=1.0, grid=GridSpec(0.0, 1.0, 0.25),
              stocks=[0.2, 0.95], threshold=0.3, block=7)
     # values that all round to one risk: no riskier-blue cell
-    @example(employment=1000.0, share=0.3, gamma=0.8, grid=GridSpec(0.5, 0.5 + 1e-14, 1e-15),
+    @example(records=[(1000.0, 0.3)], gamma=0.8, grid=GridSpec(0.5, 0.5 + 1e-14, 1e-15),
              stocks=[0.2], threshold=0.5, block=sweep._BLOCK)
     def test_each_summary_equals_threshold_share_of_the_full_lattice(
-        self, employment, share, gamma, grid, stocks, threshold, block
+        self, records, gamma, grid, stocks, threshold, block
     ):
-        profile = calibrate(CountryRecord("XX", employment, share), gamma)
+        # Profile-major: the summaries of several profiles are each profile's concatenated.
+        profiles = [calibrate(CountryRecord("XX", *record), gamma) for record in records]
         expected = _outcome(lambda: [threshold_share(sweep_matrix(profile, v_over_l, grid),
-                                                     threshold) for v_over_l in stocks])
+                                                     threshold)
+                                     for profile in profiles for v_over_l in stocks])
         saved, sweep._BLOCK = sweep._BLOCK, block
         try:
-            assert _outcome(lambda: threshold_shares(profile, stocks, grid, threshold)) == expected
+            assert _outcome(lambda: threshold_shares(profiles, stocks, grid, threshold)) == expected
+            assert _outcome(lambda: [summary for profile in profiles for summary in
+                                     threshold_shares([profile], stocks, grid, threshold)]
+                            ) == expected
         finally:
             sweep._BLOCK = saved
 
     def test_checks_stocks_then_threshold_before_gathering(self, countries, monkeypatch):
-        monkeypatch.setattr(sweep, "_riskier_blue_cells", None)  # gathering would raise TypeError
+        monkeypatch.setattr(sweep, "_riskier_blue", None)  # gathering would raise TypeError
         profile = calibrate(countries["XA"], gamma=0.8)
         lonely = GridSpec(0.5, 0.5 + 1e-14, 1e-15)  # its values all round to 0.5
         with pytest.raises(ModelInputError, match=r"v_over_l must lie in \(0, 1\), got 0\.0$"):
-            threshold_shares(profile, (0.2, 0.0), lonely, 1.5)
+            threshold_shares([profile], (0.2, 0.0), lonely, 1.5)
+        # 5e-324 of XA's workforce is a dose, of the second profile's none
+        tiny = calibrate(CountryRecord("XT", 1e-300, 0.5), gamma=0.8)
+        with pytest.raises(ModelInputError, match=r"1e-300 rounds to 0 vaccines$"):
+            threshold_shares([profile, tiny], (0.2, 5e-324), lonely, 1.5)
         with pytest.raises(ModelInputError, match=r"threshold must lie in \(0, 1\), got 1\.5$"):
-            threshold_shares(profile, (0.2,), lonely, 1.5)
+            threshold_shares([profile, tiny], (0.2,), lonely, 1.5)
         monkeypatch.undo()
         with pytest.raises(ModelInputError, match="grid too small"):
-            threshold_shares(profile, (0.2,), lonely, 0.5)
+            threshold_shares([profile], (0.2,), lonely, 0.5)
+
+    def test_a_stock_generator_reaches_every_profile(self, countries):
+        profiles = [calibrate(countries[code], gamma=0.8) for code in ("XA", "XG")]
+        stocks = (0.2, 0.4, 0.6)
+        summaries = list(threshold_shares(profiles, (v for v in stocks), GridSpec(), 0.66))
+        assert summaries == list(threshold_shares(profiles, stocks, GridSpec(), 0.66))
+        assert len(summaries) == 6 and summaries[3:] != summaries[:3]
 
     def test_a_share_equal_to_the_threshold_is_not_counted(self, countries):
         profile = calibrate(countries["XD"], gamma=0.8)
@@ -406,16 +418,18 @@ class TestThresholdShares:
         assert np.count_nonzero(shares == threshold) > 0
         expected = np.count_nonzero(shares > threshold) / shares.size
         for summary in (threshold_share(lattice, threshold),
-                        *threshold_shares(profile, (0.2,), GridSpec(), threshold)):
+                        *threshold_shares([profile], (0.2,), GridSpec(), threshold)):
             assert summary.share_exceeding == expected
 
-    def test_memory_stays_below_a_lattice_solve_and_nothing_outlives_the_call(self, countries):
+    def test_memory_stays_below_a_lattice_solve_and_nothing_outlives_the_call(
+        self, countries, monkeypatch
+    ):
         profile = calibrate(countries["XA"], gamma=0.8)
         grid = GridSpec(0.0, 1.0, 0.001)
         assert grid.points == 1001 and len(grid.values()) == 1001  # the lattice tuple is cached
         peaks = []
         for run in (lambda: sweep_matrix(profile, 0.4, grid),
-                    lambda: list(threshold_shares(profile, (0.4,), grid, 0.66))):
+                    lambda: list(threshold_shares([profile], (0.4,), grid, 0.66))):
             tracemalloc.start()
             try:
                 run()
@@ -425,13 +439,19 @@ class TestThresholdShares:
             peaks.append(peak)
         assert peaks[1] <= 1.25 * peaks[0]
         assert retained < 2**18  # the lattice's riskier-blue mask alone is 0.96 MiB
-        assert len(sweep._CELLS) == 0
-        # A suspended iterator holds the gathered cells but no kernel arrays.
+        # A suspended iterator holds the gathered cells, two doubles per riskier-blue
+        # cell, but no kernel arrays, and they go with it.
+        gathered, real = [], sweep.stock_solver
+        monkeypatch.setattr(sweep, "stock_solver", lambda profile, beta_white, beta_blue: (
+            gathered.append(weakref.ref(beta_white.base)) or real(profile, beta_white, beta_blue)))
         tracemalloc.start()
         try:
-            summaries = threshold_shares(profile, (0.2, 0.4), grid, 0.66)
+            summaries = threshold_shares([profile, profile], (0.2, 0.4), grid, 0.66)
             next(summaries)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held < sweep._CELLS[grid].nbytes + 2**18
+        assert held < 2 * 8 * (1001 * 1000 // 2) + 2**18
+        assert gathered[0]() is not None
+        del summaries
+        assert gathered[0]() is None
