@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Each subcommand is one ``_SPECS`` entry: its CSV columns, its row source and
-its JSON metadata keys.  ``_run`` calibrates the countries once, assembles the
-metadata and hands table rows to ``_write_table`` or ``(country, SweepGrid)``
-lattices from ``sweep.sweep_matrices`` to ``_write_lattices``, the only two
-emitters: long-format CSV, or JSON with provenance metadata.
+its JSON metadata keys in order.  ``_run`` calibrates the countries once, builds
+the metadata and writes table rows or ``(country, SweepGrid)`` lattices through
+``_write``, the one emitter: long-format CSV, or JSON with provenance metadata.
 
 Exit codes: 0 success, 1 usage or input-validation failure, 2 data error,
 130 interrupted (Ctrl-C), 141 standard output closed early (as for a tool
@@ -22,6 +21,7 @@ import stat
 import sys
 import threading
 from contextlib import contextmanager, suppress
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -32,7 +32,7 @@ from .calibration import (
     calibrate,
     load_countries,
 )
-from .model import CLAMPS, Clamp, ModelInputError, Scenario, solve
+from .model import CLAMPS, Clamp, ModelInputError, Scenario, degenerate_cells, solve
 
 if TYPE_CHECKING:  # the commands that use oracle, sweep or json import them
     from .sweep import GridSpec
@@ -53,13 +53,14 @@ DEFAULT_V_OVER_L = (0.2, 0.4, 0.6)
 DEFAULT_BETA_WHITE = (0.05, 0.25)
 DEFAULT_THRESHOLD = 0.66
 
-# Per format, the separator between sweep rows and each clamp code's row end.
-# No CSV field needs quoting: country codes are letters, clamp labels are fixed
-# words and a float repr has no comma.  JSON rows are json.dumps(document,
-# indent=2) bytes at depth 2: the labels are ASCII and a float is its repr.
+# Per format, the text before, between and after sweep rows, and each clamp
+# code's row end.  No CSV field needs quoting: country codes are letters, clamp
+# labels are fixed words and a float repr has no comma.  JSON rows are
+# json.dumps(document, indent=2) bytes at depth 2: ASCII labels, float reprs.
 _ROW_ENDS = {
-    "csv": ("", tuple(f",{clamp.value}\n" for clamp in CLAMPS)),
-    "json": (",\n", tuple(f',\n      "clamp": "{clamp.value}"\n    }}' for clamp in CLAMPS)),
+    "csv": ("", "", "", tuple(f",{clamp.value}\n" for clamp in CLAMPS)),
+    "json": ("[\n", ",\n", "\n  ]",
+             tuple(f',\n      "clamp": "{clamp.value}"\n    }}' for clamp in CLAMPS)),
 }
 
 SWEEP_FIELDS = ("country", "v_over_l", "beta_w", "beta_b", "v_ratio", "clamp")
@@ -246,24 +247,34 @@ def _opened(path):
         raise
 
 
-def _write_table(path, fmt: str, command: str, fields, rows, metadata) -> None:
-    """Write rows of values in ``fields`` order as CSV or as one JSON document."""
+def _write(path, fmt: str, command: str, fields, metadata, write_rows) -> None:
+    """Write a CSV header, or the bytes of ``json.dumps(document, indent=2)``, around the
+    rows that ``write_rows(handle, fmt)``, a row writer with its rows bound, writes."""
+    if fmt == "csv":
+        start, end = ",".join(fields) + "\n", ""
+    else:  # the document's bytes, cut where its rows go: the last null
+        import json
+        document = {"command": command, "metadata": metadata, "rows": None}
+        start, end = (json.dumps(document, indent=2) + "\n").rsplit("null", 1)
     with _opened(path) as handle:
-        if fmt == "csv":
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(fields)
-            writer.writerows(rows)
-        else:
-            import json
-            rows = [dict(zip(fields, row)) for row in rows]
-            document = {"command": command, "metadata": metadata, "rows": rows}
-            handle.write(json.dumps(document, indent=2))
-            handle.write("\n")
+        handle.write(start)
+        write_rows(handle, fmt)
+        handle.write(end)
 
 
-def _write_lattice_rows(handle, fmt: str, lattices, lead: str) -> None:
-    """Write ``lead``, then each cell's row: head + repr(beta_w) + blue[j] + repr(share) + tail."""
-    sep, tails = _ROW_ENDS[fmt]
+def _write_table_rows(fields, rows, handle, fmt: str) -> None:
+    """Write rows of values in ``fields`` order: CSV lines, or the JSON list of row objects."""
+    if fmt == "csv":
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    else:
+        import json
+        text = json.dumps([dict(zip(fields, row)) for row in rows], indent=2)
+        handle.write(text.replace("\n", "\n  "))  # one level deeper: json escapes "\n" in strings
+
+
+def _write_lattice_rows(lattices, handle, fmt: str) -> None:
+    """Write each cell's row, head + repr(beta_w) + blue[j] + repr(share) + tail, and the ends."""
+    lead, sep, end, tails = _ROW_ENDS[fmt]
     for country, sweep in lattices:
         if fmt == "csv":
             head = f"{country},{sweep.v_over_l!r},"
@@ -280,32 +291,7 @@ def _write_lattice_rows(handle, fmt: str, lattices, lead: str) -> None:
             handle.write(lead + sep.join([f"{row}{b}{ratio!r}{tails[code]}" for b, ratio, code
                                           in zip(blue, ratios, sweep.clamp[i].tolist())]))
             lead = sep
-
-
-def _write_lattices(path, fmt: str, command: str, lattices, metadata) -> None:
-    """Write the ``(country, SweepGrid)`` pairs ``lattices()`` returns, in the sweep schema.
-
-    Checks run before the output opens; each lattice is solved as written, so memory holds
-    one.  JSON, the bytes of ``json.dumps(document, indent=2)``, counts ``degenerate_rows``
-    (appended, or filled in where ``metadata`` has it) in a first pass.
-    """
-    if fmt == "csv":
-        start, lead, end = ",".join(SWEEP_FIELDS) + "\n", "", ""
-    else:
-        import json
-        degenerate = sum(int((sweep.clamp == CLAMPS.index(Clamp.DEGENERATE)).sum())
-                         for _, sweep in lattices())
-        metadata = json.dumps({**metadata, "degenerate_rows": degenerate}, indent=2)
-        # One level deeper in the document; json escapes newlines inside strings.
-        metadata = metadata.replace("\n", "\n  ")
-        start = (f'{{\n  "command": {json.dumps(command)},\n  "metadata": {metadata},\n'
-                 f'  "rows": [')
-        lead, end = "\n", "\n  ]\n}\n"
-    rows = lattices()
-    with _opened(path) as handle:
-        handle.write(start)
-        _write_lattice_rows(handle, fmt, rows, lead)
-        handle.write(end)
+    handle.write(end)
 
 
 def _scenarios(args, profiles):
@@ -317,15 +303,16 @@ def _scenarios(args, profiles):
 
 
 def _matrices(args, profiles, grid: GridSpec):
-    """Row source of frontier and sweep: ``lattices()`` checks all, solves as read."""
+    """Row source of frontier and sweep: checks all, solves as read; degenerate_rows unsolved."""
     from .sweep import sweep_matrices
     beta_white = getattr(args, "beta_w", None)  # a frontier's rows
-
-    def lattices():
-        checked = [(record.country_code, sweep_matrices(profile, args.v_over_l, grid, beta_white))
-                   for record, profile in profiles]
-        return ((country, sweep) for country, sweeps in checked for sweep in sweeps)
-    return lattices, {"grid": vars(grid)}
+    checked = [(record.country_code, sweep_matrices(profile, args.v_over_l, grid, beta_white))
+               for record, profile in profiles]
+    risks = grid.values()
+    degenerate = sum(degenerate_cells(profile, risks if beta_white is None else beta_white, risks)
+                     for _, profile in profiles) * len(args.v_over_l)
+    return ((country, sweep) for country, sweeps in checked for sweep in sweeps), {
+        "grid": vars(grid), "degenerate_rows": degenerate}
 
 
 def _calibrate_rows(args, profiles, _):
@@ -360,24 +347,27 @@ def _audit_rows(args, profiles, config):
     return rows, {"oracle": vars(config)}
 
 
-# command -> (CSV columns, row source, metadata keys after "gamma").  A row
+_DATASET = ("dataset", "dataset_origin")  # provenance keys, from _select_records
+
+# command -> (CSV columns, row source, JSON metadata keys in order).  A row
 # source maps (args, profiles, grid or oracle config) to its rows, under
-# SWEEP_FIELDS a function returning (country, SweepGrid) lattices, and the
-# metadata it computed.  Other keys show their flag (json writes a tuple as a
-# list); _write_lattices counts degenerate_rows.
+# SWEEP_FIELDS (country, SweepGrid) lattices, and the metadata it computed.
+# Other keys show their flag (json writes a tuple as a list) or the provenance.
 _SPECS = {
     "calibrate": (("country", "employment", "telework_share", "labor_white", "labor_blue",
-                   "alpha_white", "alpha_blue", "gamma"), _calibrate_rows, ()),
+                   "alpha_white", "alpha_blue", "gamma"), _calibrate_rows, ("gamma", *_DATASET)),
     "solve": (("country", "beta_w", "beta_b", "v_over_l", "v_blue_star", "v_ratio", "clamp",
                "objective", "surplus_blue", "surplus_white"), _solve_rows,
-              ("beta_w", "beta_b", "v_over_l", "degenerate_rows")),
-    "frontier": (SWEEP_FIELDS, _matrices, ("beta_w", "v_over_l", "grid", "degenerate_rows")),
-    "sweep": (SWEEP_FIELDS, _matrices, ("v_over_l", "grid")),
+              ("gamma", "beta_w", "beta_b", "v_over_l", "degenerate_rows", *_DATASET)),
+    "frontier": (SWEEP_FIELDS, _matrices,
+                 ("gamma", "beta_w", "v_over_l", "grid", "degenerate_rows", *_DATASET)),
+    "sweep": (SWEEP_FIELDS, _matrices,
+              ("gamma", "v_over_l", "grid", *_DATASET, "degenerate_rows")),
     "summarize": (("country", "v_over_l", "threshold", "share_exceeding"), _summarize_rows,
-                  ("v_over_l", "threshold", "grid")),
+                  ("gamma", "v_over_l", "threshold", "grid", *_DATASET)),
     "audit": (("country", "beta_w", "beta_b", "v_over_l", "v_blue_star", "oracle_v_blue",
                "objective", "oracle_objective", "gap"), _audit_rows,
-              ("beta_w", "beta_b", "v_over_l", "oracle")),
+              ("gamma", "beta_w", "beta_b", "v_over_l", "oracle", *_DATASET)),
 }
 
 
@@ -392,20 +382,20 @@ def _run(args, records, provenance) -> int:
         setting = OracleConfig(grid_points=args.grid_points, refine=not args.no_refine)
     profiles = [(record, calibrate(record, args.gamma)) for record in records]
     rows, computed = row_source(args, profiles, setting)
-    values = {**vars(args), "degenerate_rows": None, **computed}
-    metadata = {"gamma": args.gamma, **{key: values[key] for key in keys}, **provenance}
-    if fields != SWEEP_FIELDS:
-        _write_table(args.output, args.format, args.command, fields, rows, metadata)
-    elif getattr(args, "out_dir", None) is None:
-        _write_lattices(args.output, args.format, args.command, rows, metadata)
-    else:
-        lattices = rows()  # checked before the directory is made
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for country, sweep in lattices:
-            _write_lattices(out_dir / f"sweep_{country}_{sweep.v_over_l!r}.{args.format}",
-                            args.format, "sweep", lambda: [(country, sweep)],
-                            {**metadata, "v_over_l": sweep.v_over_l})
+    values = {**vars(args), **provenance, **computed}
+    metadata = {key: values[key] for key in keys}
+    if getattr(args, "out_dir", None) is None:
+        write_rows = (partial(_write_lattice_rows, rows) if fields == SWEEP_FIELDS
+                      else partial(_write_table_rows, fields, rows))
+        _write(args.output, args.format, args.command, fields, metadata, write_rows)
+        return EXIT_OK
+    out_dir = Path(args.out_dir)  # a file per sweep lattice, each checked before this mkdir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for country, sweep in rows:
+        metadata.update(v_over_l=sweep.v_over_l, degenerate_rows=degenerate_cells(
+            sweep.profile, sweep.beta_white, sweep.beta_blue))
+        _write(out_dir / f"sweep_{country}_{sweep.v_over_l!r}.{args.format}", args.format,
+               "sweep", fields, metadata, partial(_write_lattice_rows, [(country, sweep)]))
     return EXIT_OK
 
 

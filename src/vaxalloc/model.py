@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -375,6 +375,15 @@ def stock_solver(profile: EconomyProfile, beta_white: np.ndarray | float,
         return v_star, code
 
     return solve_stock
+
+
+def degenerate_cells(profile: EconomyProfile, beta_white: Iterable[float],
+                     beta_blue: Iterable[float]) -> int:
+    """Count the cells ``stock_solver`` marks Degenerate, the same at every stock: its two
+    leverage terms, computed with its operations, are >= 0, so their sum is 0 where both are."""
+    white = sum(profile.alpha_white * (1.0 - profile.gamma * (1.0 - beta_w)) == 0.0
+                for beta_w in beta_white)
+    return white * sum(profile.alpha_blue * beta_b == 0.0 for beta_b in beta_blue)
 
 
 def unemployment(

@@ -129,12 +129,12 @@ def brute_force_optimum(
     return best_v, best_value
 
 
-def _golden_section(fun, low: float, high: float, tol: float, max_iter: int = 500) -> float:
+def _golden_section(fun, low: float, high: float, tol: float) -> float:
     """Golden-section minimization of a unimodal function on [low, high]."""
     x1 = high - _GOLDEN * (high - low)
     x2 = low + _GOLDEN * (high - low)
     f1, f2 = fun(x1), fun(x2)
-    for _ in range(max_iter):
+    for _ in range(500):  # a cap: each step shrinks the bracket by about 0.618
         if high - low <= tol:
             break
         if f1 <= f2:

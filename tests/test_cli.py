@@ -337,7 +337,7 @@ def test_country_code_is_two_code_points_that_are_letters(tmp_path, capsys):
 
 def _fail_after_one_row(monkeypatch):
     # Write part of the first lattice, then fail the way a full disk would.
-    def write_then_fail(handle, *args):
+    def write_then_fail(lattices, handle, fmt):
         handle.write("XA,partial\n")
         raise OSError(28, "No space left on device")
 
@@ -528,6 +528,35 @@ def test_streamed_json_equals_whole_document_encoding(tmp_path, capsys):
     assert out.encode("utf-8") == expected
     assert json.loads(out)["metadata"]["degenerate_rows"] == 2
 
+    # Table commands: their rows are one json.dumps of the row objects.
+    record = load_countries(dataset)[0]
+    code, out, _ = run_cli(["calibrate", *common[:4], "--format", "json"], capsys)
+    assert code == EXIT_OK
+    rows = [{"country": "ÄÖ", "employment": record.employment_total,
+             "telework_share": record.telework_share, "labor_white": profile.labor_white,
+             "labor_blue": profile.labor_blue, "alpha_white": profile.alpha_white,
+             "alpha_blue": profile.alpha_blue, "gamma": 1.0}]
+    document = {"command": "calibrate", "metadata": {"gamma": 1.0, **provenance}, "rows": rows}
+    assert out.encode("utf-8") == (json.dumps(document, indent=2) + "\n").encode("utf-8")
+
+    code, out, _ = run_cli(["solve", *common[:4], "--beta-w", "0", "--beta-b", "0",
+                            "--v-over-l", "0.2,0.6", "--format", "json"], capsys)
+    assert code == EXIT_OK
+    rows = []
+    for v in (0.2, 0.6):
+        scenario = Scenario.with_coverage(profile, 0.0, 0.0, v)
+        result = solve(profile, scenario)
+        rows.append({"country": "ÄÖ", "beta_w": 0.0, "beta_b": 0.0, "v_over_l": v,
+                     "v_blue_star": result.v_blue_star,
+                     "v_ratio": result.v_blue_star / scenario.vaccines,
+                     "clamp": result.clamp.value, "objective": result.objective,
+                     "surplus_blue": result.surplus_blue, "surplus_white": result.surplus_white})
+    metadata = {"gamma": 1.0, "beta_w": 0.0, "beta_b": 0.0, "v_over_l": [0.2, 0.6],
+                "degenerate_rows": 2, **provenance}
+    document = {"command": "solve", "metadata": metadata, "rows": rows}
+    assert out.encode("utf-8") == (json.dumps(document, indent=2) + "\n").encode("utf-8")
+    assert '"country": "\\u00c4\\u00d6"' in out
+
 
 def test_json_sweep_memory_does_not_grow_with_rows(tmp_path, capsys):
     # 501 x 501 = 251,001 rows; holding them all as row dicts peaked near 378 MiB.
@@ -572,8 +601,8 @@ def test_json_sweep_memory_does_not_grow_with_stocks(capsys):
 
 
 def test_failed_json_output_leaves_no_file(tmp_path, capsys, monkeypatch):
-    def write_then_fail(handle, *args):
-        handle.write('\n    {"country": "XA"')
+    def write_then_fail(lattices, handle, fmt):
+        handle.write('[\n    {"country": "XA"')
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli, "_write_lattice_rows", write_then_fail)
@@ -590,9 +619,11 @@ def test_failed_json_output_leaves_no_file(tmp_path, capsys, monkeypatch):
 
 
 # summarize makes no pass: it solves only the cells it counts, through threshold_shares.
+# JSON counts degenerate_rows from the risks, so it makes one pass as CSV does.
 @pytest.mark.parametrize("argv, passes", [
     (["sweep"], 1), (["frontier"], 1), (["summarize"], 0), (["sweep", "--out-dir"], 1),
-    (["sweep", "--format", "json", "--out-dir"], 1), (["sweep", "--format", "json"], 2),
+    (["sweep", "--format", "json", "--out-dir"], 1), (["sweep", "--format", "json"], 1),
+    (["frontier", "--format", "json"], 1),
 ])
 def test_lattice_commands_call_sweep_matrices_once_per_country_a_pass(
     argv, passes, tmp_path, capsys, monkeypatch

@@ -41,6 +41,10 @@ CASES = {
     "sweep_out_dir_csv": ["sweep", "--v-over-l", "0.2,0.6", "--out-dir", "{out}"],
     "sweep_out_dir_json": ["sweep", "--v-over-l", "0.2,0.6", "--out-dir", "{out}",
                            "--format", "json"],
+    # One degenerate cell per lattice, so each file counts its own: 1, not 2.
+    "sweep_out_dir_degenerate_json": ["sweep", "--gamma", "1.0", "--beta-min", "0",
+                                      "--v-over-l", "0.2,0.4", "--format", "json",
+                                      "--out-dir", "{out}"],
     "summarize_csv": ["summarize"],
     "summarize_json": ["summarize", "--format", "json"],
     # From beta 0 at gamma = 1: the degenerate cell (0, 0) is on the diagonal, so not counted.

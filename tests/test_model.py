@@ -26,7 +26,7 @@ from vaxalloc import (
     unemployment,
 )
 from vaxalloc import model
-from vaxalloc.model import CLAMPS, stock_solver
+from vaxalloc.model import CLAMPS, degenerate_cells, stock_solver
 from vaxalloc.oracle import OracleConfig
 
 
@@ -395,6 +395,39 @@ def test_stock_solver_shares_its_first_stage_across_stocks(
             assert CLAMPS[clamp] is expected.clamp
     # the first stock again, last: solving never wrote the shared arrays
     assert [a.tobytes() for a in solved[-1][1:]] == [a.tobytes() for a in solved[0][1:]]
+
+
+# Risks whose terms are zero, signed zero or tiny: 5e-324 * alpha_b is 0 when alpha_b < 0.5.
+_NEAR_ZERO = st.one_of(st.sampled_from([0.0, -0.0, 1e-12, 5e-324]), _RISK)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    labor=st.tuples(_SIZE, _SIZE),
+    alpha=st.tuples(_SIZE, _SIZE),
+    gamma=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    beta_white=st.lists(_NEAR_ZERO, min_size=1, max_size=6),  # a frontier's list, repeats kept
+    beta_blue=st.lists(_NEAR_ZERO, min_size=1, max_size=6),
+    coverage=st.floats(0.0, 1.0, exclude_max=True),
+)
+# the blue term of 5e-324 underflows to 0: a beta_b == 0 test would miss these cells
+@example(labor=(60.0, 40.0), alpha=(1.0, 0.25), gamma=1.0, beta_white=[0.0, 0.5, -0.0, 0.0],
+         beta_blue=[5e-324, 1e-12, -0.0, 0.5], coverage=0.3)
+# gamma < 1: no white term is 0 here, so the zero blue terms count nothing
+@example(labor=(60.0, 40.0), alpha=(1.0, 1.5), gamma=0.8, beta_white=[0.0, 0.0],
+         beta_blue=[0.0, 5e-324], coverage=0.3)
+def test_degenerate_cells_counts_the_kernels_degenerate_codes(
+    labor, alpha, gamma, beta_white, beta_blue, coverage
+):
+    profile = EconomyProfile(*labor, *alpha, gamma)
+    vaccines = coverage * profile.total_labor
+    assume(vaccines < profile.total_labor)
+    white, blue = np.array(beta_white), np.array(beta_blue)
+    code = stock_solver(profile, white[:, None], blue[None, :])(vaccines)[1]
+    expected = int((code == CLAMPS.index(Clamp.DEGENERATE)).sum())
+    assert degenerate_cells(profile, beta_white, beta_blue) == expected
+    if profile.alpha_blue < 0.5 and gamma == 1.0 and 0.0 in beta_white:
+        assert expected >= beta_blue.count(5e-324)  # the kernel counts the underflow too
 
 
 class TestUnemployment:
