@@ -12,6 +12,7 @@ killed by SIGPIPE), 143 terminated by SIGTERM.
 
 from __future__ import annotations
 
+import _signal
 import argparse
 import csv
 import errno
@@ -407,9 +408,10 @@ _parser: Optional[_Parser] = None
 def main(argv: Optional[Sequence[str]] = None) -> int:
     global _parser
     # Only the main thread may set a handler, and an ignored SIGTERM stays ignored.
+    # _signal.signal skips signal.signal's enum wrapping, which raises and catches per call.
     ours = (threading.current_thread() is threading.main_thread()
             and signal.getsignal(signal.SIGTERM) is not signal.SIG_IGN)
-    previous = signal.signal(signal.SIGTERM, _terminate) if ours else None
+    previous = _signal.signal(_signal.SIGTERM, _terminate) if ours else None
     try:
         if _parser is None:
             _parser = build_parser()
@@ -438,7 +440,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_TERM
     finally:
         if ours:  # put the caller's handler back; None is one set outside Python
-            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+            _signal.signal(_signal.SIGTERM, _signal.SIG_DFL if previous is None else previous)
 
 
 if __name__ == "__main__":

@@ -330,51 +330,59 @@ def solve(profile: EconomyProfile, scenario: Scenario) -> AllocationResult:
 
 
 def stock_solver(profile: EconomyProfile, beta_white: np.ndarray | float,
-                 beta_blue: np.ndarray | float) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-    """Optimal blue-collar doses and clamp codes for many risk pairs, at many stocks.
+                 beta_blue: np.ndarray | float, cells: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> tuple[Callable[[float], np.ndarray], Callable[[float], tuple]]:
+    """Interior roots, and clamped doses and codes, of many risk pairs at many stocks.
 
-    ``beta_white`` and ``beta_blue`` broadcast against each other.  This call
-    runs the first stage, which does not depend on the stock: the leverage,
-    the no-dose terms, the white dose value and the degenerate cells.  The
-    returned function runs the second per stock V, reading those arrays only,
-    and returns ``(v_blue_star, clamp_code)`` of the broadcast shape, where
-    ``CLAMPS[clamp_code]`` is the branch.  The arithmetic follows
-    ``interior_optimum`` and ``solve`` operation for operation, so every
-    element equals ``solve(profile, Scenario(bw, bb, V))`` bit for bit.
-    Nothing is validated here: pass risks in [0, 1] and a stock in [0, L), as
-    ``GridSpec`` and ``Scenario.with_coverage`` guarantee.
+    This call runs the first stage, which does not depend on the stock: each
+    term of one risk once per axis value, and the leverage per cell, where
+    ``beta_white`` broadcasts against ``beta_blue`` or, given index arrays
+    ``cells = (i, j)``, at ``(beta_white[i], beta_blue[j])``.  It returns the
+    per-stock stages ``(root, solve_stock)``: ``root(V)``, each cell's interior
+    root or the split where it is degenerate, and ``solve_stock(V)``, that root
+    clamped into ``(v_blue_star, clamp_code)``; ``CLAMPS[clamp_code]`` is the
+    branch.  Each element equals ``solve(profile, Scenario(bw, bb, V))`` bit for
+    bit, operation for operation.  Nothing is validated: pass risks in [0, 1]
+    and a stock in [0, L), as ``GridSpec`` and ``with_coverage`` ensure.
     """
     import numpy as np
 
     beta_white, beta_blue = np.asarray(beta_white, dtype=float), np.asarray(beta_blue, dtype=float)
+    white, blue = cells or (..., ...)  # ``...`` views a whole axis, which then broadcasts
     white_dose = 1.0 - profile.gamma * (1.0 - beta_white)
     blue_term = profile.alpha_blue * beta_blue
     white_term = profile.alpha_white * white_dose
-    leverage = blue_term + white_term
+    leverage = blue_term[blue] + white_term[white]
     no_dose_white = (1.0 - beta_white) * profile.gamma * profile.labor_white
-    no_dose_blue = (1.0 - beta_blue) * profile.alpha_blue * profile.labor_blue
+    no_dose_blue = ((1.0 - beta_blue) * profile.alpha_blue * profile.labor_blue)[blue]
     # Both terms are >= 0, so their rounded sum is 0 only where both are: the
     # exact mask is needed only when each term has a zero somewhere.
     degenerate = None if blue_term.all() or white_term.all() else leverage == 0.0
 
-    def solve_stock(vaccines: float) -> tuple[np.ndarray, np.ndarray]:
-        numerator = np.asarray(  # an array even for scalar risks
-            profile.alpha_white * (no_dose_white + white_dose * vaccines) - no_dose_blue)
-        # degenerate cells, patched below; a root beyond the float range clamps as in solve
+    def root(vaccines: float) -> np.ndarray:
+        row_term = profile.alpha_white * (no_dose_white + white_dose * vaccines)
+        numerator = np.asarray(row_term[white] - no_dose_blue)  # an array even for scalar risks
+        # degenerate cells divide by 0, patched below; a root beyond the float range is inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            v_star = np.divide(numerator, leverage, out=numerator)
+            roots = np.divide(numerator, leverage, out=numerator)
+        if degenerate is not None:  # leverage == 0: no dose moves anything
+            roots[degenerate] = vaccines * profile.labor_blue / profile.total_labor
+        return roots
+
+    def solve_stock(vaccines: float) -> tuple[np.ndarray, np.ndarray]:
+        v_star = root(vaccines)
         all_white = v_star <= 0.0  # masks before the clamp: at V = 0 a root > 0 is AllBlue
         code = np.asarray(v_star >= vaccines).view(np.int8)
         code += _INTERIOR  # AllBlue where the root is >= V
         code[all_white] = _ALL_WHITE
         np.minimum(v_star, vaccines, out=v_star)
         v_star[all_white] = 0.0
-        if degenerate is not None:  # leverage == 0: no dose moves anything
+        if degenerate is not None:  # the split again, as the clamp may have moved it
             v_star[degenerate] = vaccines * profile.labor_blue / profile.total_labor
             code[degenerate] = _DEGENERATE
         return v_star, code
 
-    return solve_stock
+    return root, solve_stock
 
 
 def degenerate_cells(profile: EconomyProfile, beta_white: Iterable[float],

@@ -6,13 +6,13 @@ frontier replaces the white-collar axis by a list of risks: each row is a
 curve of the optimal blue-collar dose share against blue-collar risk.
 Threshold summaries count the above-diagonal cells (beta_b > beta_w) whose
 share exceeds a cutoff: ``threshold_share`` on a solved lattice, or
-``threshold_shares``, which solves only those cells for every profile of a
-run.  ``sweep_matrices`` and ``threshold_shares`` check stocks through
-``_levels``, and both summaries count through ``_exceeding``.
+``threshold_shares``, which finds only those cells' roots for every profile
+of a run.  It and ``sweep_matrices`` check stocks through ``_levels``; both
+summaries count through ``_exceeding``, alike for a root and its clamped dose.
 
-Cells are solved by the two-stage array kernel ``model.stock_solver``,
-which matches the scalar ``solve`` bit for bit: one country's stocks share
-its first stage.  The module caches only the risk tuples of recent grids
+Cells are solved by the array kernel ``model.stock_solver``, which matches
+the scalar ``solve`` bit for bit: one country's stocks share its first
+stage.  The module caches only the risk tuples of recent grids
 (``_lattice``); ``AllocationResult`` objects are built by the scalar ``solve``
 each time ``SweepGrid.cells`` is read.
 """
@@ -159,7 +159,7 @@ def sweep_matrices(profile: EconomyProfile, stocks: Iterable[float], grid: GridS
 
     def solved() -> Iterator[SweepGrid]:
         solve_stock = stock_solver(profile, np.asarray(beta_white)[:, None],
-                                   np.asarray(beta_blue)[None, :])
+                                   np.asarray(beta_blue)[None, :])[1]
         for v_over_l, vaccines in levels:
             yield SweepGrid(grid, v_over_l, vaccines, profile, beta_white, beta_blue,
                             *solve_stock(vaccines))
@@ -182,9 +182,10 @@ def _check_threshold(threshold: float) -> None:
         raise ModelInputError(f"threshold must lie in (0, 1), got {threshold!r}")
 
 
-def _exceeding(v_blue_star: np.ndarray, vaccines: float, threshold: float) -> int:
-    """How many of these cells have a dose share strictly above the threshold."""
-    return int(np.count_nonzero(v_blue_star / vaccines > threshold))
+def _exceeding(doses: np.ndarray, vaccines: float, threshold: float) -> int:
+    """How many cells have a dose share strictly above the threshold.  As V > 0 and the
+    threshold is in (0, 1), unclamped roots count as their clamped doses would."""
+    return int(np.count_nonzero(doses / vaccines > threshold))
 
 
 def threshold_share(sweep: SweepGrid, threshold: float) -> ThresholdSummary:
@@ -204,10 +205,10 @@ def threshold_shares(profiles: Iterable[EconomyProfile], stocks: Iterable[float]
     """``threshold_share`` of each (profile, stock) full lattice, profile-major.
 
     The call reads ``stocks`` once, checks every profile's stocks, then the
-    threshold, and gathers the grid's riskier-blue cells, which live as long as
-    the iterator.  Only they are solved, by ``stock_solver`` in blocks of
-    ``_BLOCK`` with each block's first stage shared by the stocks, with the same
-    operations on the same operands as in ``sweep_matrices``: each summary equals
+    threshold, and selects the index pairs of the grid's riskier-blue cells,
+    which live as long as the iterator.  Only their roots are solved and counted,
+    by ``stock_solver`` in blocks of ``_BLOCK`` whose first stage the stocks share,
+    with the operations and operands of ``sweep_matrices``: each summary equals
     ``threshold_share(sweep_matrix(profile, v_over_l, grid), threshold)``.
     """
     risks = grid.values()
@@ -217,20 +218,21 @@ def threshold_shares(profiles: Iterable[EconomyProfile], stocks: Iterable[float]
     _check_threshold(threshold)
     axis = np.asarray(risks, dtype=float)
     mask, considered = _riskier_blue(axis, axis)
-    cells = np.empty((2, considered))  # beta_white and beta_blue of each cell, row-major
-    cells[0] = np.broadcast_to(axis[:, None], mask.shape)[mask]
-    cells[1] = np.broadcast_to(axis, mask.shape)[mask]
+    index = np.arange(axis.size)  # each cell's white- and blue-collar axis index, row-major
+    rows, cols = (np.broadcast_to(at, mask.shape)[mask] for at in (index[:, None], index))
+    blocks = [(rows[at:at + _BLOCK], cols[at:at + _BLOCK]) for at in range(0, considered, _BLOCK)]
 
     def counted() -> Iterator[ThresholdSummary]:
         for profile, stock_levels in levels:
             exceeding = [0] * len(stock_levels)
-            for start in range(0, considered, _BLOCK):
-                solve_stock = stock_solver(profile, *cells[:, start:start + _BLOCK])
-                for k, (_, vaccines) in enumerate(stock_levels):
-                    exceeding[k] += _exceeding(solve_stock(vaccines)[0], vaccines, threshold)
+            with np.errstate(over="ignore"):  # the share of a root far above V is inf: counted
+                for cells in blocks:
+                    root = stock_solver(profile, axis, axis, cells)[0]
+                    for k, (_, vaccines) in enumerate(stock_levels):
+                        exceeding[k] += _exceeding(root(vaccines), vaccines, threshold)
             # Free the last block's arrays before handing out a summary: the next
             # profile's kernel then reuses this memory instead of faulting in fresh pages.
-            del solve_stock
+            del root
             for count in exceeding:
                 yield ThresholdSummary(threshold, count / considered, considered)
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from vaxalloc import CountryRecord, EconomyProfile, Scenario, calibrate
+
+
+# Strategies for uncalibrated profiles and their risks.
+RISK = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+SIZE = st.floats(min_value=5e-324, max_value=1e6)  # subnormals included
 
 
 @pytest.fixture

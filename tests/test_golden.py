@@ -54,6 +54,10 @@ CASES = {
     "summarize_fine_json": ["summarize", "--gamma", "1.0", "--beta-min", "0", "--beta-max", "1",
                             "--beta-step", "0.01", "--v-over-l", "0.05,0.5,0.95",
                             "--threshold", "0.5", "--format", "json"],
+    # 2,001,000 riskier-blue cells: the only case gathered in more than one block.
+    "summarize_cap_csv": ["summarize", "--beta-min", "0", "--beta-max", "1",
+                          "--beta-step", "0.0005", "--v-over-l", "0.05,0.5,0.95",
+                          "--threshold", "0.5"],
     "audit_csv": ["audit", "--beta-w", "0.1", "--beta-b", "0.6"],
     "audit_json": ["audit", "--beta-w", "0.1", "--beta-b", "0.6", "--format", "json"],
     "audit_no_refine_json": ["audit", "--beta-w", "0.1", "--beta-b", "0.6", "--no-refine",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import draw_profile, draw_scenario, labor_scale
+from conftest import RISK, SIZE, draw_profile, draw_scenario, labor_scale
 from vaxalloc import (
     Clamp,
     DegenerateModelError,
@@ -288,7 +288,7 @@ class TestSolveArrays:
             profile = calibrate(record, gamma)
             for v_over_l in (0.01, 0.2, 0.6, 0.95):
                 vaccines = v_over_l * profile.total_labor
-                v_star, code = stock_solver(profile, axis[:, None], axis[None, :])(vaccines)
+                v_star, code = stock_solver(profile, axis[:, None], axis[None, :])[1](vaccines)
                 expected = [
                     solve(profile, Scenario(beta_w, beta_b, vaccines))
                     for beta_w in lattice
@@ -300,17 +300,13 @@ class TestSolveArrays:
                     assert CLAMPS[code[0, 0]] is Clamp.DEGENERATE
 
 
-_RISK = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-_SIZE = st.floats(min_value=5e-324, max_value=1e6)  # subnormals included
-
-
 @settings(max_examples=60, deadline=None)
 @given(
-    labor=st.tuples(_SIZE, _SIZE),
-    alpha=st.tuples(_SIZE, _SIZE),
+    labor=st.tuples(SIZE, SIZE),
+    alpha=st.tuples(SIZE, SIZE),
     gamma=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
-    beta_white=st.lists(_RISK, min_size=1, max_size=4),
-    beta_blue=st.lists(_RISK, min_size=1, max_size=4),
+    beta_white=st.lists(RISK, min_size=1, max_size=4),
+    beta_blue=st.lists(RISK, min_size=1, max_size=4),
     coverage=st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0.0, 1.0, exclude_max=True)),
 )
 # V = 0 with a positive root: AllBlue, so the masks must precede the clamp
@@ -333,7 +329,7 @@ def test_solve_arrays_matches_solve_on_random_profiles(
     assume(vaccines < profile.total_labor)
     v_star, code = stock_solver(
         profile, np.array(beta_white)[:, None], np.array(beta_blue)[None, :]
-    )(vaccines)
+    )[1](vaccines)
     assert v_star.shape == code.shape == (len(beta_white), len(beta_blue))
     assert code.dtype == np.int8
     for (i, beta_w), (j, beta_b) in itertools.product(enumerate(beta_white), enumerate(beta_blue)):
@@ -342,15 +338,27 @@ def test_solve_arrays_matches_solve_on_random_profiles(
         assert got == want or (math.isnan(got) and math.isnan(want))
         assert math.copysign(1.0, got) == math.copysign(1.0, want)
         assert CLAMPS[code[i, j]] is expected.clamp
+    # The same cells by index pairs, last first: the same bits, and before the
+    # clamp each cell's interior root, or the split where it is degenerate.
+    white, blue = np.indices(code.shape).reshape(2, -1)[:, ::-1]
+    root, solve_cells = stock_solver(profile, beta_white, beta_blue, (white, blue))
+    for got, want in zip(solve_cells(vaccines), (v_star[white, blue], code[white, blue])):
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+    for i, j, got in zip(white, blue, root(vaccines).tolist()):
+        expected = solve(profile, Scenario(beta_white[i], beta_blue[j], vaccines))
+        want = (expected.v_blue_star if expected.clamp is Clamp.DEGENERATE
+                else expected.v_blue_interior)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    labor=st.tuples(_SIZE, _SIZE),
-    alpha=st.tuples(_SIZE, _SIZE),
+    labor=st.tuples(SIZE, SIZE),
+    alpha=st.tuples(SIZE, SIZE),
     gamma=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
-    beta_white=st.lists(_RISK, min_size=1, max_size=4),
-    beta_blue=st.lists(_RISK, min_size=1, max_size=4),
+    beta_white=st.lists(RISK, min_size=1, max_size=4),
+    beta_blue=st.lists(RISK, min_size=1, max_size=4),
     coverage=st.floats(0.0, 1.0, exclude_max=True),
     paired=st.booleans(),
     order=st.permutations(range(4)),
@@ -379,10 +387,10 @@ def test_stock_solver_shares_its_first_stage_across_stocks(
         white, blue = np.array(beta_white)[:, None], np.array(beta_blue)[None, :]
     candidates = (0.0, 5e-324, coverage * total, 0.999999 * total)
     stocks = [candidates[i] for i in order if candidates[i] < total]
-    solve_stock = model.stock_solver(profile, white, blue)
+    solve_stock = model.stock_solver(profile, white, blue)[1]
     solved = [(vaccines, *solve_stock(vaccines)) for vaccines in stocks + stocks[:1]]
     for vaccines, v_star, code in solved:
-        fresh = stock_solver(profile, white, blue)(vaccines)
+        fresh = stock_solver(profile, white, blue)[1](vaccines)
         for got, want in zip((v_star, code), fresh):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         assert np.array_equal(np.signbit(v_star), np.signbit(fresh[0]))
@@ -398,13 +406,13 @@ def test_stock_solver_shares_its_first_stage_across_stocks(
 
 
 # Risks whose terms are zero, signed zero or tiny: 5e-324 * alpha_b is 0 when alpha_b < 0.5.
-_NEAR_ZERO = st.one_of(st.sampled_from([0.0, -0.0, 1e-12, 5e-324]), _RISK)
+_NEAR_ZERO = st.one_of(st.sampled_from([0.0, -0.0, 1e-12, 5e-324]), RISK)
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    labor=st.tuples(_SIZE, _SIZE),
-    alpha=st.tuples(_SIZE, _SIZE),
+    labor=st.tuples(SIZE, SIZE),
+    alpha=st.tuples(SIZE, SIZE),
     gamma=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
     beta_white=st.lists(_NEAR_ZERO, min_size=1, max_size=6),  # a frontier's list, repeats kept
     beta_blue=st.lists(_NEAR_ZERO, min_size=1, max_size=6),
@@ -423,7 +431,7 @@ def test_degenerate_cells_counts_the_kernels_degenerate_codes(
     vaccines = coverage * profile.total_labor
     assume(vaccines < profile.total_labor)
     white, blue = np.array(beta_white), np.array(beta_blue)
-    code = stock_solver(profile, white[:, None], blue[None, :])(vaccines)[1]
+    code = stock_solver(profile, white[:, None], blue[None, :])[1](vaccines)[1]
     expected = int((code == CLAMPS.index(Clamp.DEGENERATE)).sum())
     assert degenerate_cells(profile, beta_white, beta_blue) == expected
     if profile.alpha_blue < 0.5 and gamma == 1.0 and 0.0 in beta_white:

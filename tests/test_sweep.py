@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import labor_scale
+from conftest import SIZE, labor_scale
 from vaxalloc import (
     CountryRecord,
+    EconomyProfile,
     GridSpec,
     ModelInputError,
     OracleConfig,
@@ -71,22 +72,26 @@ class TestGridSpec:
 
 class TestLatticeCache:
     def test_summarize_builds_its_lattice_once(self, tmp_path, monkeypatch):
-        # Every country's kernel calls read one gathered array of riskier-blue
-        # cells, freed when the run ends.
+        # Every country's kernel calls read one risk axis and one selection of
+        # riskier-blue index pairs, freed when the run ends.
         sweep._lattice.cache_clear()
-        cells, real = [], sweep.stock_solver
-        monkeypatch.setattr(sweep, "stock_solver", lambda profile, beta_white, beta_blue: (
-            cells.append((beta_white.base, beta_blue.base)) or real(profile, beta_white, beta_blue)))
+        calls, real = [], sweep.stock_solver
+        monkeypatch.setattr(sweep, "stock_solver", lambda profile, beta_white, beta_blue, cells: (
+            calls.append((beta_white, beta_blue, *(index.base for index in cells)))
+            or real(profile, beta_white, beta_blue, cells)))
         argv = ["summarize", "--beta-step", "0.01", "--v-over-l", "0.2,0.4,0.6",
                 "--output", str(tmp_path / "summary.csv")]
         assert main(argv) == 0
         assert (tmp_path / "summary.csv").read_text().count("\n") == 1 + 7 * 3
         assert sweep._lattice.cache_info().misses == 1
-        assert len(cells) == 7 and all(white is blue is cells[0][0] for white, blue in cells)
-        assert cells[0][0].shape == (2, 91 * 90 // 2)
-        gathered = weakref.ref(cells[0][0])
-        cells.clear()  # the spy held the last reference
-        assert gathered() is None
+        assert len(calls) == 7 and all(list(map(id, call)) == list(map(id, calls[0]))
+                                       for call in calls)
+        axis, _, rows, cols = calls[0]
+        assert axis.shape == (91,) and rows.shape == cols.shape == (91 * 90 // 2,)
+        selected = [weakref.ref(rows), weakref.ref(cols)]
+        del axis, rows, cols
+        calls.clear()  # the spy held the last references
+        assert [ref() for ref in selected] == [None, None]
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
     def test_equal_grids_keep_their_own_lattices(self, order):
@@ -385,6 +390,53 @@ class TestThresholdShares:
         finally:
             sweep._BLOCK = saved
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        labor=st.tuples(SIZE, SIZE),
+        alpha=st.tuples(SIZE, SIZE),
+        gamma=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+        grid=_grids(),
+        stocks=st.lists(st.one_of(st.just(5e-324), st.floats(0.0, 1.0, exclude_min=True,
+                                                             exclude_max=True)),
+                        min_size=1, max_size=3),
+        threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        block=st.sampled_from([7, sweep._BLOCK]),
+    )
+    # 5e-324 * 0.25 underflows to 0: two degenerate riskier-blue cells in row 0,
+    # whose split is a share of exactly 0.5
+    @example(labor=(1.0, 1.0), alpha=(1.0, 5e-324), gamma=1.0, grid=GridSpec(0.0, 1.0, 0.25),
+             stocks=[0.3], threshold=0.49, block=7)
+    @example(labor=(1.0, 1.0), alpha=(1.0, 5e-324), gamma=1.0, grid=GridSpec(0.0, 1.0, 0.25),
+             stocks=[0.3], threshold=0.5, block=7)
+    @example(labor=(1.0, 1.0), alpha=(1.0, 5e-324), gamma=1.0, grid=GridSpec(0.0, 1.0, 0.25),
+             stocks=[0.3], threshold=0.51, block=7)
+    # row 0's roots overflow to inf: AllBlue, so counted
+    @example(labor=(2.0, 1.0), alpha=(1.0, 1e-300), gamma=1.0, grid=GridSpec(0.0, 1e-9, 1e-10),
+             stocks=[0.5 / 3.0], threshold=0.5, block=7)
+    # a stock of 5e-324 * L: a root above it has a share that overflows to inf
+    @example(labor=(60.0, 40.0), alpha=(1.0, 1.5), gamma=0.8, grid=GridSpec(0.0, 1.0, 0.25),
+             stocks=[5e-324], threshold=0.5, block=7)
+    def test_uncalibrated_profiles_count_as_their_full_lattices(
+        self, labor, alpha, gamma, grid, stocks, threshold, block
+    ):
+        # Degenerate riskier-blue cells and roots far outside [0, V], which
+        # calibrated profiles never have: the unclamped count must still agree.
+        profile = EconomyProfile(*labor, *alpha, gamma)
+        expected = _outcome(lambda: [threshold_share(sweep_matrix(profile, v_over_l, grid),
+                                                     threshold) for v_over_l in stocks])
+        saved, sweep._BLOCK = sweep._BLOCK, block
+        try:
+            assert _outcome(lambda: threshold_shares([profile], stocks, grid, threshold)) == expected
+        finally:
+            sweep._BLOCK = saved
+
+    def test_degenerate_cells_count_by_their_split(self):
+        profile = EconomyProfile(1.0, 1.0, 1.0, 5e-324, 1.0)  # row 0 has two, at share 0.5
+        shares = [summary.share_exceeding for threshold in (0.49, 0.5, 0.51)
+                  for summary in threshold_shares([profile], [0.3], GridSpec(0.0, 1.0, 0.25),
+                                                  threshold)]
+        assert shares == [1.0, 0.8, 0.8]
+
     def test_checks_stocks_then_threshold_before_gathering(self, countries, monkeypatch):
         monkeypatch.setattr(sweep, "_riskier_blue", None)  # gathering would raise TypeError
         profile = calibrate(countries["XA"], gamma=0.8)
@@ -439,11 +491,12 @@ class TestThresholdShares:
             peaks.append(peak)
         assert peaks[1] <= 1.25 * peaks[0]
         assert retained < 2**18  # the lattice's riskier-blue mask alone is 0.96 MiB
-        # A suspended iterator holds the gathered cells, two doubles per riskier-blue
+        # A suspended iterator holds the riskier-blue index pairs, two intp per
         # cell, but no kernel arrays, and they go with it.
         gathered, real = [], sweep.stock_solver
-        monkeypatch.setattr(sweep, "stock_solver", lambda profile, beta_white, beta_blue: (
-            gathered.append(weakref.ref(beta_white.base)) or real(profile, beta_white, beta_blue)))
+        monkeypatch.setattr(sweep, "stock_solver", lambda profile, beta_white, beta_blue, cells: (
+            gathered.append(weakref.ref(cells[0].base)) or real(profile, beta_white, beta_blue,
+                                                                 cells)))
         tracemalloc.start()
         try:
             summaries = threshold_shares([profile, profile], (0.2, 0.4), grid, 0.66)
