@@ -6,13 +6,13 @@ the metadata and writes table rows or ``(country, SweepGrid)`` lattices through
 ``_write``, the one emitter: long-format CSV, or JSON with provenance metadata.
 
 Exit codes: 0 success, 1 usage or input-validation failure, 2 data error,
-130 interrupted (Ctrl-C), 141 standard output closed early (as for a tool
-killed by SIGPIPE), 143 terminated by SIGTERM.
+141 standard output closed early (as for a tool killed by SIGPIPE): what ``main``
+returns, leaving Ctrl-C and SIGTERM to its caller.  ``console``, the ``vaxalloc``
+command and ``python -m vaxalloc.cli``, also exits 130 on Ctrl-C and 143 on SIGTERM.
 """
 
 from __future__ import annotations
 
-import _signal
 import argparse
 import csv
 import errno
@@ -20,7 +20,6 @@ import os
 import signal
 import stat
 import sys
-import threading
 from contextlib import contextmanager, suppress
 from functools import partial
 from pathlib import Path
@@ -76,7 +75,7 @@ class _StdoutClosed(Exception):
 
 
 class _Terminated(BaseException):  # as KeyboardInterrupt, so no `except Exception` stops it
-    """SIGTERM arrived while ``main`` ran."""
+    """SIGTERM arrived while ``console`` ran."""
 
 
 def _terminate(signum, frame):
@@ -406,12 +405,8 @@ _parser: Optional[_Parser] = None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return 0, 1, 2 or 141; Ctrl-C and signals are the caller's."""
     global _parser
-    # Only the main thread may set a handler, and an ignored SIGTERM stays ignored.
-    # _signal.signal skips signal.signal's enum wrapping, which raises and catches per call.
-    ours = (threading.current_thread() is threading.main_thread()
-            and signal.getsignal(signal.SIGTERM) is not signal.SIG_IGN)
-    previous = _signal.signal(_signal.SIGTERM, _terminate) if ours else None
     try:
         if _parser is None:
             _parser = build_parser()
@@ -425,23 +420,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"vaxalloc: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except _StdoutClosed:
-        if sys.stdout is sys.__stdout__:
-            # Output still buffered goes to devnull at exit instead of failing
-            # again; an in-process caller's replacement stdout keeps fd 1.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
         return EXIT_PIPE
+
+
+def console() -> None:
+    """``sys.exit(main())`` once per process: Ctrl-C exits 130, an unignored SIGTERM 143."""
+    if signal.getsignal(signal.SIGTERM) is not signal.SIG_IGN:
+        signal.signal(signal.SIGTERM, _terminate)
+    try:
+        code = main()
     except KeyboardInterrupt:  # _opened has removed an output file in progress
         print("vaxalloc: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPT
+        code = EXIT_INTERRUPT
     except _Terminated:
         print("vaxalloc: terminated", file=sys.stderr)
-        return EXIT_TERM
-    finally:
-        if ours:  # put the caller's handler back; None is one set outside Python
-            _signal.signal(_signal.SIGTERM, _signal.SIG_DFL if previous is None else previous)
+        code = EXIT_TERM
+    if code == EXIT_PIPE:  # output still buffered goes to devnull at exit, not failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

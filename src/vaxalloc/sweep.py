@@ -129,13 +129,12 @@ class ThresholdSummary(_Frozen):
 
 def _levels(profile: EconomyProfile, stocks: Iterable[float], beta_white: tuple[float, ...],
             beta_blue: float) -> list[tuple[float, float]]:
-    """(v_over_l, vaccines) of each stock, checked with every white-collar risk.
-
-    The one stock check: the first bad (stock, risk) pair in row order is reported.
-    """
+    """(v_over_l, vaccines) of each stock, the first checked with every white-collar risk
+    and the rest with the first.  A risk is bad at every stock or none, so this one stock
+    check reports the first bad (stock, risk) pair in row order."""
     levels = []
     for v_over_l in stocks:
-        for beta_w in beta_white:
+        for beta_w in beta_white[:1] if levels else beta_white:
             scenario = Scenario.with_coverage(profile, beta_w, beta_blue, v_over_l)
         levels.append((v_over_l, scenario.vaccines))
     return levels

@@ -684,11 +684,11 @@ _SIGNAL_ENDS = {signal.SIGINT: (EXIT_INTERRUPT, b"vaxalloc: interrupted\n"),
                 signal.SIGTERM: (EXIT_TERM, b"vaxalloc: terminated\n")}
 
 
-def _signal_when(path_of_pid, args, signum):
+def _signal_when(path_of_pid, args, signum, **kwargs):
     """Run the CLI, send ``signum`` once ``path_of_pid(pid)`` exists; return (code, stderr)."""
     if signal.getsignal(signum) is signal.SIG_IGN:  # the child would inherit it
         pytest.skip(f"{signum.name} is ignored in this process")
-    proc = _cli_process(args, stderr=subprocess.PIPE)
+    proc = _cli_process(args, stderr=subprocess.PIPE, **kwargs)
     try:
         deadline = time.monotonic() + 60
         while not path_of_pid(proc.pid).exists():
@@ -727,22 +727,73 @@ def test_a_signal_keeps_the_out_dir_files_already_written(signum, tmp_path):
     assert written.rsplit(b"\n", 2)[1].startswith(b"XA,0.2,1.0,1.0,")  # the last cell
 
 
-def test_main_holds_its_sigterm_handler_only_while_it_runs(capsys, monkeypatch):
+def test_an_ignored_sigterm_lets_the_run_finish(tmp_path):
+    target = tmp_path / "s.csv"
+    ended = _signal_when(lambda pid: tmp_path / f".s.csv.{pid}.tmp",
+                         [*_FINE, "0.2", "--beta-step", "0.001", "--output", str(target)],
+                         signal.SIGTERM,
+                         preexec_fn=lambda: signal.signal(signal.SIGTERM, signal.SIG_IGN))
+    assert ended == (EXIT_OK, b"")
+    assert [path.name for path in tmp_path.iterdir()] == ["s.csv"]
+    written = target.read_bytes()
+    assert written.count(b"\n") == 1 + 1001**2
+    assert written.rsplit(b"\n", 2)[1].startswith(b"XA,0.2,1.0,1.0,")  # the last cell
+
+
+class _CallerStop(BaseException):
+    """What an in-process caller's SIGTERM handler raises."""
+
+
+def _stop(signum, frame):
+    raise _CallerStop
+
+
+def _send_sigterm():
+    os.kill(os.getpid(), signal.SIGTERM)
+
+
+def _press_ctrl_c():
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("interrupt, raised", [(_send_sigterm, _CallerStop),
+                                               (_press_ctrl_c, KeyboardInterrupt)],
+                         ids=["sigterm", "ctrl-c"])
+def test_an_interrupt_leaves_main_and_no_output(interrupt, raised, tmp_path, monkeypatch):
+    # main sets no handler of its own: the caller's runs, and what it raises leaves main.
+    target, real = tmp_path / "s.csv", cli._write_lattice_rows
+
+    def write_then_interrupt(lattices, handle, fmt):
+        real(lattices, handle, fmt)
+        assert [path.name for path in tmp_path.iterdir()] == [f".s.csv.{os.getpid()}.tmp"]
+        interrupt()
+
+    monkeypatch.setattr(cli, "_write_lattice_rows", write_then_interrupt)
+    previous = signal.signal(signal.SIGTERM, _stop)
+    try:
+        with pytest.raises(raised):
+            main(["sweep", "--output", str(target)])
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_leaves_signal_handling_to_its_caller(capsys, monkeypatch):
     def caller(signum, frame):
         pass
 
     seen, real = [], cli._run
     monkeypatch.setattr(cli, "_run", lambda *args: seen.append(
         signal.getsignal(signal.SIGTERM)) or real(*args))
-    for before in (caller, signal.SIG_IGN):  # an ignored SIGTERM stays ignored
+    for before in (caller, signal.SIG_IGN):
         previous = signal.signal(signal.SIGTERM, before)
         try:
             assert main(["calibrate"]) == EXIT_OK
             assert signal.getsignal(signal.SIGTERM) is before
         finally:
             signal.signal(signal.SIGTERM, previous)
-    assert seen == [cli._terminate, signal.SIG_IGN]
-    # Off the main thread, where no handler can be set, main runs with the caller's.
+    assert seen == [caller, signal.SIG_IGN]
+    # main also runs off the main thread, where no handler can be set.
     worker = threading.Thread(target=lambda: seen.append(main(["calibrate"])))
     worker.start()
     worker.join(timeout=60)

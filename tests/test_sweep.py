@@ -228,6 +228,22 @@ class TestSweepMatrices:
         with pytest.raises(ModelInputError, match=r"beta_white must lie in \[0, 1\], got 1\.5$"):
             sweep_matrices(profile, (0.4,), GridSpec(), (0.1, 1.5, -3.0))
 
+    def test_checks_each_risk_at_the_first_stock_only(self, countries, monkeypatch):
+        # s stocks and k risks take s + k - 1 scenarios: the first stock with every
+        # risk, then each later stock with the first risk.
+        profile = calibrate(countries["XA"], gamma=0.8)
+        builds, real = [], Scenario.__post_init__
+        monkeypatch.setattr(Scenario, "__post_init__",
+                            lambda scenario: builds.append(scenario) or real(scenario))
+        for stocks, risks in (((0.2, 0.4, 0.6), (0.1, 0.2, 0.3, 0.4)), ((0.4,), (0.5,)),
+                              ((0.6, 0.2), None)):
+            builds.clear()
+            sweep_matrices(profile, stocks, GridSpec(), risks)
+            risks = risks or GridSpec().values()[:1]
+            assert [(scenario.beta_white, scenario.vaccines) for scenario in builds] == [
+                (beta_w, stocks[0] * profile.total_labor) for beta_w in risks] + [
+                (risks[0], v_over_l * profile.total_labor) for v_over_l in stocks[1:]]
+
     def test_reports_the_first_bad_pair_in_row_order(self, countries):
         # (stock, risk) pairs in row order: (0.2, 0.1), (0.2, 1.5), (2.0, 0.1), ...
         profile = calibrate(countries["XA"], gamma=0.8)
