@@ -130,10 +130,15 @@ def calibrate(record: CountryRecord, gamma: float = DEFAULT_GAMMA) -> EconomyPro
     white-collar coefficient normalized to one, the blue-collar coefficient
     L_w / L_b makes both tasks supply identical output before the epidemic.
     A record whose split rounds a pool to zero (a share below about 1e-16,
-    or subnormal employment) raises DataFormatError naming its country.
+    or subnormal employment), or whose employment is above 1e154, raises
+    DataFormatError naming its country.  Below that bound a product of two
+    labor-sized numbers, such as the degenerate split V * L_b, stays finite.
     """
     if not (0.0 < gamma <= 1.0):
         raise ModelInputError(f"gamma must lie in (0, 1], got {gamma!r}")
+    if record.employment_total > 1e154:
+        raise DataFormatError(f"country {record.country_code}: employment "
+                              f"{record.employment_total!r} is above the largest accepted, 1e154")
     labor_blue = record.employment_total - record.telework_share * record.employment_total
     # complementing twice makes the pools sum to the total exactly
     labor_white = record.employment_total - labor_blue

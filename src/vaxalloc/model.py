@@ -209,19 +209,25 @@ def _check_v_blue(scenario: Scenario, v_blue: float) -> None:
         )
 
 
-def _white_dose_value(profile: EconomyProfile, scenario: Scenario) -> float:
-    # Effective-labor gain per dose given to a white-collar worker: the
-    # worker moves from gamma*(1-beta_w) expected units at home to 1 at
-    # the office.  Zero only when gamma == 1 and beta_w == 0.
-    return 1.0 - profile.gamma * (1.0 - scenario.beta_white)
+def _terms(profile: EconomyProfile, beta_white, beta_blue) -> tuple:
+    # The closed form's terms, by plain operators on floats or numpy arrays alike: a white
+    # dose's value (a worker goes from gamma*(1-beta_w) expected units at home to 1 at the
+    # office), the leverage terms, each >= 0 (their sum, the slope of alpha_b*eff_b -
+    # alpha_w*eff_w in v_blue, is 0 only if degenerate), and the no-dose white and blue terms.
+    white_dose = 1.0 - profile.gamma * (1.0 - beta_white)
+    return (white_dose, profile.alpha_blue * beta_blue, profile.alpha_white * white_dose,
+            (1.0 - beta_white) * profile.gamma * profile.labor_white,
+            (1.0 - beta_blue) * profile.alpha_blue * profile.labor_blue)
 
 
-def _dose_leverage(profile: EconomyProfile, scenario: Scenario) -> float:
-    # Slope of alpha_b*eff_b - alpha_w*eff_w in v_blue; zero exactly in the
-    # degenerate case, where reallocating doses moves nothing.
-    return profile.alpha_blue * scenario.beta_blue + profile.alpha_white * _white_dose_value(
-        profile, scenario
-    )
+def _interior(profile: EconomyProfile, vaccines: float, terms: tuple) -> tuple[float, float]:
+    # The unclamped root and the leverage; NaN and 0 where no dose moves anything.
+    white_dose, blue_term, white_term, no_dose_white, no_dose_blue = terms
+    leverage = blue_term + white_term
+    if leverage == 0.0:
+        return math.nan, leverage
+    return (profile.alpha_white * (no_dose_white + white_dose * vaccines)
+            - no_dose_blue) / leverage, leverage
 
 
 def _surpluses(profile: EconomyProfile, eff_blue: float, eff_white: float) -> tuple[float, float]:
@@ -233,9 +239,8 @@ def _surpluses(profile: EconomyProfile, eff_blue: float, eff_white: float) -> tu
     return surplus_blue, surplus_white
 
 
-def effective_labor(
-    profile: EconomyProfile, scenario: Scenario, v_blue: float
-) -> tuple[float, float]:
+def effective_labor(profile: EconomyProfile, scenario: Scenario,
+                    v_blue: float) -> tuple[float, float]:
     """Effective labor (blue, white) when v_blue doses go to blue-collars.
 
     Healthy unvaccinated blue-collars work on site at full productivity,
@@ -245,17 +250,15 @@ def effective_labor(
     """
     _check_pair(profile, scenario)
     _check_v_blue(scenario, v_blue)
-    return _effective_labor(profile, scenario, v_blue)
+    return _effective_labor(profile, scenario, v_blue,
+                            _terms(profile, scenario.beta_white, scenario.beta_blue))
 
 
-def _effective_labor(
-    profile: EconomyProfile, scenario: Scenario, v_blue: float
-) -> tuple[float, float]:
+def _effective_labor(profile: EconomyProfile, scenario: Scenario, v_blue: float,
+                     terms: tuple) -> tuple[float, float]:
+    white_dose, _, _, no_dose_white, _ = terms
     eff_blue = (1.0 - scenario.beta_blue) * profile.labor_blue + scenario.beta_blue * v_blue
-    eff_white = (1.0 - scenario.beta_white) * profile.gamma * profile.labor_white + (
-        _white_dose_value(profile, scenario) * (scenario.vaccines - v_blue)
-    )
-    return eff_blue, eff_white
+    return eff_blue, no_dose_white + white_dose * (scenario.vaccines - v_blue)
 
 
 def objective(profile: EconomyProfile, scenario: Scenario, v_blue: float) -> float:
@@ -275,17 +278,12 @@ def interior_optimum(profile: EconomyProfile, scenario: Scenario) -> float:
     move either labor pool (beta_b = beta_w = 0 with gamma = 1).
     """
     _check_pair(profile, scenario)
-    leverage = _dose_leverage(profile, scenario)
+    interior, leverage = _interior(profile, scenario.vaccines,
+                                   _terms(profile, scenario.beta_white, scenario.beta_blue))
     if leverage == 0.0:
-        raise DegenerateModelError(
-            "vaccination has no effect on effective labor "
-            "(beta_blue = 0, beta_white = 0, gamma = 1)"
-        )
-    numerator = profile.alpha_white * (
-        (1.0 - scenario.beta_white) * profile.gamma * profile.labor_white
-        + _white_dose_value(profile, scenario) * scenario.vaccines
-    ) - (1.0 - scenario.beta_blue) * profile.alpha_blue * profile.labor_blue
-    return numerator / leverage
+        raise DegenerateModelError("vaccination has no effect on effective labor "
+                                   "(beta_blue = 0, beta_white = 0, gamma = 1)")
+    return interior
 
 
 def solve(profile: EconomyProfile, scenario: Scenario) -> AllocationResult:
@@ -297,22 +295,20 @@ def solve(profile: EconomyProfile, scenario: Scenario) -> AllocationResult:
     degenerate no-leverage case every allocation is optimal and the labor
     split L_b / L is used so downstream sweeps stay total.
     """
+    _check_pair(profile, scenario)  # the one validation: the helpers only see v_star in [0, V]
     vaccines = scenario.vaccines
-    try:  # its pair check is the one validation: the helpers below only see v_star in [0, V]
-        interior = interior_optimum(profile, scenario)
-    except DegenerateModelError:
-        interior = math.nan
-        clamp = Clamp.DEGENERATE
-        v_star = vaccines * profile.labor_blue / profile.total_labor
+    terms = _terms(profile, scenario.beta_white, scenario.beta_blue)
+    interior, leverage = _interior(profile, vaccines, terms)
+    if leverage == 0.0:
+        clamp, v_star = Clamp.DEGENERATE, vaccines * profile.labor_blue / profile.total_labor
+    elif interior <= 0.0:
+        clamp, v_star = Clamp.ALL_WHITE, 0.0
+    elif interior >= vaccines:
+        clamp, v_star = Clamp.ALL_BLUE, vaccines
     else:
-        if interior <= 0.0:
-            clamp, v_star = Clamp.ALL_WHITE, 0.0
-        elif interior >= vaccines:
-            clamp, v_star = Clamp.ALL_BLUE, vaccines
-        else:
-            clamp, v_star = Clamp.INTERIOR, interior
+        clamp, v_star = Clamp.INTERIOR, interior
 
-    eff_blue, eff_white = _effective_labor(profile, scenario, v_star)
+    eff_blue, eff_white = _effective_labor(profile, scenario, v_star, terms)
     supply_blue = profile.alpha_blue * eff_blue
     supply_white = profile.alpha_white * eff_white
     surplus_blue, surplus_white = _surpluses(profile, eff_blue, eff_white)
@@ -349,12 +345,9 @@ def stock_solver(profile: EconomyProfile, beta_white: np.ndarray | float,
 
     beta_white, beta_blue = np.asarray(beta_white, dtype=float), np.asarray(beta_blue, dtype=float)
     white, blue = cells or (..., ...)  # ``...`` views a whole axis, which then broadcasts
-    white_dose = 1.0 - profile.gamma * (1.0 - beta_white)
-    blue_term = profile.alpha_blue * beta_blue
-    white_term = profile.alpha_white * white_dose
-    leverage = blue_term[blue] + white_term[white]
-    no_dose_white = (1.0 - beta_white) * profile.gamma * profile.labor_white
-    no_dose_blue = ((1.0 - beta_blue) * profile.alpha_blue * profile.labor_blue)[blue]
+    white_dose, blue_term, white_term, no_dose_white, no_dose_blue = _terms(
+        profile, beta_white, beta_blue)
+    leverage, no_dose_blue = blue_term[blue] + white_term[white], no_dose_blue[blue]
     # Both terms are >= 0, so their rounded sum is 0 only where both are: the
     # exact mask is needed only when each term has a zero somewhere.
     degenerate = None if blue_term.all() or white_term.all() else leverage == 0.0
@@ -388,10 +381,12 @@ def stock_solver(profile: EconomyProfile, beta_white: np.ndarray | float,
 def degenerate_cells(profile: EconomyProfile, beta_white: Iterable[float],
                      beta_blue: Iterable[float]) -> int:
     """Count the cells ``stock_solver`` marks Degenerate, the same at every stock: its two
-    leverage terms, computed with its operations, are >= 0, so their sum is 0 where both are."""
-    white = sum(profile.alpha_white * (1.0 - profile.gamma * (1.0 - beta_w)) == 0.0
-                for beta_w in beta_white)
-    return white * sum(profile.alpha_blue * beta_b == 0.0 for beta_b in beta_blue)
+    leverage terms, from the same ``_terms``, are >= 0, so their sum is 0 where both are."""
+    import numpy as np
+
+    _, blue_term, white_term, _, _ = _terms(profile, np.fromiter(beta_white, float),
+                                            np.fromiter(beta_blue, float))
+    return int(np.count_nonzero(white_term == 0.0)) * int(np.count_nonzero(blue_term == 0.0))
 
 
 def unemployment(
@@ -431,17 +426,14 @@ def partials(profile: EconomyProfile, scenario: Scenario) -> Partials:
     all of them are covered (root below L_b); raising white-collar risk
     pulls doses away whenever white-collar coverage is short of L_w.
     """
-    leverage = _dose_leverage(profile, scenario)
+    interior, leverage = _interior(profile, scenario.vaccines,
+                                   _terms(profile, scenario.beta_white, scenario.beta_blue))
     if leverage == 0.0:
         raise DegenerateModelError("partial derivatives are undefined without dose leverage")
-    interior = interior_optimum(profile, scenario)
+    _check_pair(profile, scenario)
     d_beta_blue = profile.alpha_blue / leverage * (profile.labor_blue - interior)
-    d_beta_white = (
-        profile.alpha_white
-        * profile.gamma
-        / leverage
-        * (scenario.vaccines - profile.labor_white - interior)
-    )
+    d_beta_white = (profile.alpha_white * profile.gamma / leverage
+                    * (scenario.vaccines - profile.labor_white - interior))
     return Partials(d_beta_blue=d_beta_blue, d_beta_white=d_beta_white)
 
 

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,12 @@ class TestCalibrate:
     def test_zero_pool_is_a_data_error_naming_the_country(self, employment, share):
         with pytest.raises(DataFormatError, match="^country XA: a labor pool rounds to zero$"):
             calibrate(CountryRecord("XA", employment, share))
+
+    def test_employment_above_1e154_is_a_data_error_naming_the_country(self):
+        assert calibrate(CountryRecord("XA", 1e154, 0.4)).total_labor == 1e154
+        with pytest.raises(DataFormatError, match=r"^country XA: employment 1\.0000000000000002e"
+                                                  r"\+154 is above the largest accepted, 1e154$"):
+            calibrate(CountryRecord("XA", math.nextafter(1e154, 2e154), 0.4))
 
 
 def test_non_utf8_file_is_a_data_error_naming_it(tmp_path):

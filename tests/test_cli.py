@@ -15,10 +15,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vaxalloc import (
     Clamp,
+    CountryRecord,
+    DataFormatError,
     GridSpec,
     Scenario,
     builtin_dataset_path,
@@ -457,6 +459,80 @@ def test_stock_that_rounds_to_zero_vaccines_exits_1_with_one_line(command, tmp_p
     assert err.count("\n") == 1 and "v_over_l 5e-324" in err and "0 vaccines" in err
 
 
+_GRID_FROM_0 = ["--beta-min", "0", "--beta-max", "1", "--beta-step", "0.5"]
+
+
+@pytest.mark.parametrize("command", [["solve", "--beta-w", "0", "--beta-b", "0"],
+                                     ["audit", "--beta-w", "0", "--beta-b", "0"],
+                                     ["sweep", *_GRID_FROM_0],
+                                     ["frontier", *_GRID_FROM_0, "--beta-w", "0"],
+                                     ["summarize", *_GRID_FROM_0]],
+                         ids=lambda command: command[0])
+def test_employment_above_1e154_exits_2_before_any_output(command, tmp_path, capsys):
+    # At 5e154 heads the degenerate split V * L_b / L overflowed: solve wrote an
+    # Infinity dose share and a NaN objective, and sweep an inf row.
+    dataset = tmp_path / "big.csv"
+    args = [*command, "--gamma", "1", "--v-over-l", "0.2", "--input", str(dataset)]
+    dataset.write_text("country,employment,telework_share\nXA,5e154,0.4\n")
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli([*args, "--format", fmt, "--output", str(tmp_path / "out")],
+                                 capsys)
+        assert (code, out, err) == (EXIT_DATA, "", "vaxalloc: data error: country XA: employment "
+                                    "5e+154 is above the largest accepted, 1e154\n")
+        assert list(tmp_path.iterdir()) == [dataset]
+    dataset.write_text("country,employment,telework_share\nXA,1e154,0.4\n")
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (EXIT_OK, "") and out
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+_EXTREME_RISKS = [0.0, 5e-324, 1e-300, 0.5, 1.0]
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(employment=st.one_of(st.sampled_from([1e-300, 1e154, 5e154]),
+                           st.floats(-300.0, 200.0).map(lambda exponent: 10.0 ** exponent)),
+       share=st.one_of(st.sampled_from([1e-15, 1 - 1e-15]), st.floats(1e-15, 1 - 1e-15)),
+       gamma=st.one_of(st.sampled_from([5e-324, 1.0]), st.floats(5e-324, 1.0)),
+       beta_w=st.sampled_from(_EXTREME_RISKS), beta_b=st.sampled_from(_EXTREME_RISKS),
+       v_over_l=st.sampled_from([1e-15, 0.2, 1 - 1e-15]))
+@example(employment=1e154, share=0.4, gamma=1.0, beta_w=0.0, beta_b=0.0, v_over_l=0.2)
+@example(employment=5e154, share=0.4, gamma=1.0, beta_w=0.0, beta_b=0.0, v_over_l=0.2)
+def test_accepted_datasets_write_only_finite_numbers(employment, share, gamma, beta_w, beta_b,
+                                                     v_over_l, tmp_path_factory):
+    try:
+        calibrate(CountryRecord("XA", employment, share))
+    except DataFormatError:
+        assume(False)  # a labor pool rounds to zero, or employment is above 1e154
+    dataset = tmp_path_factory.mktemp("extreme") / "countries.csv"
+    dataset.write_text(f"country,employment,telework_share\nXA,{employment!r},{share!r}\n")
+    grid = ["--beta-min", repr(min(beta_w, 0.5)), "--beta-max", "1", "--beta-step", "0.5"]
+    pair = ["--beta-w", repr(beta_w), "--beta-b", repr(beta_b)]
+    for command in (["calibrate"], ["solve", *pair], ["audit", *pair], ["sweep", *grid],
+                    ["frontier", *grid, "--beta-w", f"{beta_w!r},{beta_b!r}"],
+                    ["summarize", *grid]):
+        if command[0] != "calibrate":
+            command += ["--v-over-l", repr(v_over_l)]
+        for fmt in ("csv", "json"):
+            argv = [*command, "--gamma", repr(gamma), "--format", fmt, "--input", str(dataset)]
+            with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert (code, err.getvalue()) == (EXIT_OK, ""), argv
+            if fmt == "json":
+                json.loads(out.getvalue(), parse_constant=_not_json)
+                continue
+            for row in list(csv.reader(io.StringIO(out.getvalue())))[1:]:
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue  # a country code or a clamp name
+                    assert math.isfinite(value), (argv, row)
+
+
 def test_calibrate_solve_and_audit_never_import_numpy(tmp_path):
     # Also none of the other modules calibrate and solve do without; modules
     # the interpreter's site loaded before the snapshot do not count.  The
@@ -673,6 +749,24 @@ def test_closed_stdout_pipe_exits_141_silently():
     try:
         assert proc.stdout.readline() == b"country,v_over_l,beta_w,beta_b,v_ratio,clamp\n"
         proc.stdout.close()
+        assert proc.wait(timeout=60) == EXIT_PIPE
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
+def test_closed_stdout_at_exit_is_silent_with_buffered_output(monkeypatch):
+    # Buffered, calibrate's rows are still in stdout's buffer when main returns 141,
+    # and the flush at exit would fail again unless fd 1 points at devnull by then.
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process(["calibrate"], stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    try:
         assert proc.wait(timeout=60) == EXIT_PIPE
         assert proc.stderr.read() == b""
     finally:

@@ -405,6 +405,17 @@ def test_stock_solver_shares_its_first_stage_across_stocks(
     assert [a.tobytes() for a in solved[-1][1:]] == [a.tobytes() for a in solved[0][1:]]
 
 
+def test_stock_solver_overflowing_split_matches_solve_bit_for_bit():
+    # Above calibrate's 1e154 bound the degenerate split V * L_b / L overflows to inf,
+    # past V: the kernel's clamp takes it to V, and its second patch must restore it.
+    profile = EconomyProfile(2e154, 3e154, 1.0, 2e154 / 3e154, 1.0)
+    result = solve(profile, Scenario(0.0, 0.0, 1e154))
+    v_star, code = stock_solver(profile, 0.0, 0.0)[1](1e154)
+    assert (v_star.tobytes(), CLAMPS[code.item()]) == (
+        np.float64(result.v_blue_star).tobytes(), result.clamp)
+    assert (result.v_blue_star, result.clamp) == (math.inf, Clamp.DEGENERATE)
+
+
 # Risks whose terms are zero, signed zero or tiny: 5e-324 * alpha_b is 0 when alpha_b < 0.5.
 _NEAR_ZERO = st.one_of(st.sampled_from([0.0, -0.0, 1e-12, 5e-324]), RISK)
 
@@ -460,6 +471,13 @@ class TestUnemployment:
         breakdown = unemployment(profile, Scenario(0.0, 1.0, 8.0), 0.0)
         assert breakdown.surplus_white == pytest.approx(9.0, rel=1e-12)
         assert breakdown.headcount_white == pytest.approx(10.0, rel=1e-12)
+
+    def test_white_doses_beyond_the_white_pool_leave_no_remote_workers(self):
+        # V - v_blue = 60 doses for 30 white-collars: all of them are in the office,
+        # so every white-collar laid off has productivity 1.
+        profile = EconomyProfile(30.0, 70.0, 1.0, 30.0 / 70.0, 0.8)
+        breakdown = unemployment(profile, Scenario(0.1, 0.6, 60.0), 0.0)
+        assert breakdown.headcount_white == breakdown.surplus_white == pytest.approx(26.4)
 
     def test_all_blue_corner_reduction_identity(self):
         rng = np.random.default_rng(606)
