@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Each subcommand is one ``_SPECS`` entry: its CSV columns, its row source and
-its JSON metadata keys in order.  ``_run`` calibrates the countries once, builds
-the metadata and writes table rows or ``(country, SweepGrid)`` lattices through
-``_write``, the one emitter: long-format CSV, or JSON with provenance metadata.
+Each subcommand is one ``_SPECS`` entry: its CSV columns, its row source and its JSON
+metadata keys in order.  ``_run`` calibrates the countries once, builds the metadata and
+writes table rows or ``(country, SweepGrid)`` lattices through ``_write``, the one emitter:
+long-format CSV, or JSON with provenance metadata.  Every command's rows come from one
+``_layout``, and JSON bytes are still those of one ``json.dumps(document, indent=2)``.
 
 Exit codes: 0 success, 1 usage or input-validation failure, 2 data error,
 141 standard output closed early (as for a tool killed by SIGPIPE): what ``main``
@@ -14,7 +15,6 @@ command and ``python -m vaxalloc.cli``, also exits 130 on Ctrl-C and 143 on SIGT
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import os
 import signal
@@ -52,16 +52,6 @@ _MISSING = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
 DEFAULT_V_OVER_L = (0.2, 0.4, 0.6)
 DEFAULT_BETA_WHITE = (0.05, 0.25)
 DEFAULT_THRESHOLD = 0.66
-
-# Per format, the text before, between and after sweep rows, and each clamp
-# code's row end.  No CSV field needs quoting: country codes are letters, clamp
-# labels are fixed words and a float repr has no comma.  JSON rows are
-# json.dumps(document, indent=2) bytes at depth 2: ASCII labels, float reprs.
-_ROW_ENDS = {
-    "csv": ("", "", "", tuple(f",{clamp.value}\n" for clamp in CLAMPS)),
-    "json": ("[\n", ",\n", "\n  ]",
-             tuple(f',\n      "clamp": "{clamp.value}"\n    }}' for clamp in CLAMPS)),
-}
 
 SWEEP_FIELDS = ("country", "v_over_l", "beta_w", "beta_b", "v_ratio", "clamp")
 
@@ -262,29 +252,32 @@ def _write(path, fmt: str, command: str, fields, metadata, write_rows) -> None:
         handle.write(end)
 
 
-def _write_table_rows(fields, rows, handle, fmt: str) -> None:
-    """Write rows of values in ``fields`` order: CSV lines, or the JSON list of row objects."""
+def _layout(fields, fmt: str):
+    """The text before each field, the row end, the text before, between and after the rows,
+    and the value encoder.  No CSV field needs quoting: countries are letters, clamps fixed
+    words, float reprs comma-free.  JSON rows are json.dumps(document, indent=2) bytes."""
     if fmt == "csv":
-        csv.writer(handle, lineterminator="\n").writerows(rows)
-    else:
-        import json
-        text = json.dumps([dict(zip(fields, row)) for row in rows], indent=2)
-        handle.write(text.replace("\n", "\n  "))  # one level deeper: json escapes "\n" in strings
+        return ("", *[","] * (len(fields) - 1)), "\n", ("", "", ""), str
+    from json.encoder import encode_basestring_ascii as quote
+    prefixes = [f",\n      {quote(name)}: " for name in fields]
+    return (f"    {{{prefixes[0][1:]}", *prefixes[1:]), "\n    }", ("[\n", ",\n", "\n  ]"), (
+        lambda value: quote(value) if isinstance(value, str) else float.__repr__(value))
+
+
+def _write_table_rows(fields, rows, handle, fmt: str) -> None:
+    """Write rows of values in ``fields`` order: each field's prefix and encoded value."""
+    prefixes, row_end, (lead, sep, end), encode = _layout(fields, fmt)
+    handle.write(lead + sep.join(["".join([prefix + encode(value) for prefix, value
+                                           in zip(prefixes, row)]) + row_end for row in rows]) + end)
 
 
 def _write_lattice_rows(lattices, handle, fmt: str) -> None:
     """Write each cell's row, head + repr(beta_w) + blue[j] + repr(share) + tail, and the ends."""
-    lead, sep, end, tails = _ROW_ENDS[fmt]
+    prefixes, row_end, (lead, sep, end), encode = _layout(SWEEP_FIELDS, fmt)
+    tails = [f"{prefixes[5]}{encode(clamp.value)}{row_end}" for clamp in CLAMPS]
     for country, sweep in lattices:
-        if fmt == "csv":
-            head = f"{country},{sweep.v_over_l!r},"
-            blue = [f",{beta_b!r}," for beta_b in sweep.beta_blue]
-        else:  # json.dumps escapes the country as the whole-document encoder would
-            import json
-            head = (f'    {{\n      "country": {json.dumps(country)},\n'
-                    f'      "v_over_l": {sweep.v_over_l!r},\n      "beta_w": ')
-            blue = [f',\n      "beta_b": {beta_b!r},\n      "v_ratio": '
-                    for beta_b in sweep.beta_blue]
+        head = f"{prefixes[0]}{encode(country)}{prefixes[1]}{encode(sweep.v_over_l)}{prefixes[2]}"
+        blue = [f"{prefixes[3]}{encode(beta_b)}{prefixes[4]}" for beta_b in sweep.beta_blue]
         for i, beta_w in enumerate(sweep.beta_white):
             row = f"{head}{beta_w!r}"
             ratios = (sweep.v_blue_star[i] / sweep.vaccines).tolist()

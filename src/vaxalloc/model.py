@@ -72,10 +72,10 @@ class _Frozen:
 
     A subclass's annotated names are its fields.  Its ``__init__`` is made once,
     as ``dataclasses`` makes it; ``__dict__`` then holds the fields in order, and
-    nothing can be set or deleted.  ``eq=False`` keeps identity equality.
+    nothing can be set or deleted.
     """
 
-    def __init_subclass__(cls, eq: bool = True) -> None:
+    def __init_subclass__(cls) -> None:
         fields = cls.__match_args__ = tuple(cls.__annotations__)
         namespace = {f"_{name}": vars(cls)[name] for name in fields if name in vars(cls)}
         params = ", ".join(f"{f}=_{f}" if f"_{f}" in namespace else f for f in fields)
@@ -85,8 +85,6 @@ class _Frozen:
         exec(f"def __init__(self, {params}):\n{stores}{post}", namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-        if not eq:
-            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -407,7 +405,7 @@ def unemployment(
     v_white = scenario.vaccines - v_blue
     remote_heads = (1.0 - scenario.beta_white) * max(0.0, profile.labor_white - v_white)
     remote_effective = profile.gamma * remote_heads
-    if surplus_white <= remote_effective:
+    if surplus_white < remote_effective:
         headcount_white = surplus_white / profile.gamma
     else:
         headcount_white = remote_heads + (surplus_white - remote_effective)

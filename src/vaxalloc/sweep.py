@@ -96,13 +96,14 @@ def _riskier_blue(beta_white: tuple | np.ndarray,
     return mask, considered
 
 
-class SweepGrid(_Frozen, eq=False):
+class SweepGrid(_Frozen):
     """Solved allocations on a (beta_w, beta_b) lattice at one stock level.
 
     Row i of the arrays is ``beta_white[i]`` and column j is ``beta_blue[j]``;
     ``clamp[i, j]`` indexes ``model.CLAMPS``.
     """
 
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity: arrays have no truth value
     spec: GridSpec
     v_over_l: float
     vaccines: float

@@ -11,9 +11,11 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -34,6 +36,7 @@ from vaxalloc import (
 from vaxalloc import cli, sweep
 from vaxalloc.cli import (EXIT_DATA, EXIT_INTERRUPT, EXIT_OK, EXIT_PIPE, EXIT_TERM,
                           EXIT_USAGE, main)
+from vaxalloc.model import CLAMPS
 from vaxalloc.sweep import MAX_GRID_POINTS
 
 
@@ -531,6 +534,83 @@ def test_accepted_datasets_write_only_finite_numbers(employment, share, gamma, b
                     except ValueError:
                         continue  # a country code or a clamp name
                     assert math.isfinite(value), (argv, row)
+
+
+# Row values as the CLI writes them: two-letter codes (str.isalpha admits non-ASCII
+# letters, which JSON escapes), clamp labels and finite floats; an accepted dataset
+# writes no other float (test_accepted_datasets_write_only_finite_numbers).
+_CODES = st.one_of(st.sampled_from(["XA", "ÄÖ", "ßß", "日本", "𝐀𝐁"]),
+                   st.text(st.characters(categories=["L"]), min_size=2, max_size=2)
+                   .filter(str.isalpha))
+_FINITE = st.one_of(st.sampled_from([-0.0, 5e-324, 1e-300, 1e308]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_ROW_VALUES = {"country": _CODES, "clamp": st.sampled_from([clamp.value for clamp in CLAMPS])}
+
+
+@st.composite
+def _lattices(draw):
+    """(country, lattice) pairs with the attributes the lattice writer reads; V = 1."""
+    lattices = []
+    for _ in range(draw(st.integers(1, 3))):
+        white, blue = (draw(st.lists(_FINITE, min_size=1, max_size=3)) for _ in range(2))
+        cells = st.lists(st.tuples(_FINITE, st.integers(0, len(CLAMPS) - 1)),
+                         min_size=len(white) * len(blue), max_size=len(white) * len(blue))
+        shares, codes = zip(*draw(cells))
+        lattices.append((draw(_CODES), types.SimpleNamespace(
+            v_over_l=draw(_FINITE), vaccines=1.0, beta_white=tuple(white), beta_blue=tuple(blue),
+            v_blue_star=np.array(shares).reshape(len(white), len(blue)),
+            clamp=np.array(codes, dtype=np.int8).reshape(len(white), len(blue)))))
+    return lattices
+
+
+def _reference_table_rows(fields, rows, fmt):
+    """The table rows as csv.writer and one json.dumps of the row dicts, a level deeper."""
+    if fmt == "json":
+        return json.dumps([dict(zip(fields, row)) for row in rows], indent=2).replace("\n", "\n  ")
+    handle = io.StringIO()
+    csv.writer(handle, lineterminator="\n").writerows(rows)
+    return handle.getvalue()
+
+
+def _reference_lattice_rows(lattices, fmt):
+    """The lattice rows from per-format templates that spell each field name."""
+    lead, sep, end = ("[\n", ",\n", "\n  ]") if fmt == "json" else ("", "", "")
+    rows = []
+    for country, lattice in lattices:
+        for i, beta_w in enumerate(lattice.beta_white):
+            for j, beta_b in enumerate(lattice.beta_blue):
+                ratio = float(lattice.v_blue_star[i, j] / lattice.vaccines)
+                clamp = CLAMPS[lattice.clamp[i, j]].value
+                rows.append(
+                    f"{country},{lattice.v_over_l!r},{beta_w!r},{beta_b!r},{ratio!r},{clamp}\n"
+                    if fmt == "csv" else
+                    f'    {{\n      "country": {json.dumps(country)},\n'
+                    f'      "v_over_l": {lattice.v_over_l!r},\n      "beta_w": {beta_w!r},\n'
+                    f'      "beta_b": {beta_b!r},\n      "v_ratio": {ratio!r},\n'
+                    f'      "clamp": "{clamp}"\n    }}')
+    return lead + sep.join(rows) + end
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]), lattices=_lattices())
+def test_row_writers_write_the_bytes_of_csv_writer_and_json_dumps(data, fmt, lattices):
+    def written(write_rows, *args):
+        handle = io.StringIO()
+        write_rows(*args, handle, fmt)
+        return handle.getvalue()
+
+    for fields in dict.fromkeys(fields for fields, _, _ in cli._SPECS.values()):
+        row = st.tuples(*(_ROW_VALUES.get(name, _FINITE) for name in fields))
+        rows = data.draw(st.lists(row, min_size=1, max_size=4))
+        assert written(cli._write_table_rows, fields, rows) == _reference_table_rows(fields, rows,
+                                                                                     fmt)
+    text = written(cli._write_lattice_rows, lattices)
+    assert text == _reference_lattice_rows(lattices, fmt)
+    rows = [(country, lattice.v_over_l, beta_w, beta_b, float(lattice.v_blue_star[i, j]),
+             CLAMPS[lattice.clamp[i, j]].value) for country, lattice in lattices
+            for i, beta_w in enumerate(lattice.beta_white)
+            for j, beta_b in enumerate(lattice.beta_blue)]
+    assert text == _reference_table_rows(cli.SWEEP_FIELDS, rows, fmt)
 
 
 def test_calibrate_solve_and_audit_never_import_numpy(tmp_path):

@@ -479,6 +479,13 @@ class TestUnemployment:
         breakdown = unemployment(profile, Scenario(0.1, 0.6, 60.0), 0.0)
         assert breakdown.headcount_white == breakdown.surplus_white == pytest.approx(26.4)
 
+    def test_surplus_equal_to_the_remote_pool_lays_off_exactly_the_remote_workers(self):
+        # surplus_white is exactly gamma * remote_heads (0.1 * 3.0): at equality every
+        # remote worker goes, so the count is the 3 remote heads, not surplus / gamma.
+        profile = EconomyProfile(3.0, 7.0, 1.0, 3.0 / 7.0, 0.1)
+        breakdown = unemployment(profile, Scenario(0.0, 1.0, 0.0), 0.0)
+        assert breakdown.headcount_white == 3.0
+
     def test_all_blue_corner_reduction_identity(self):
         rng = np.random.default_rng(606)
         checked = 0
