@@ -2,9 +2,9 @@
 
 Each subcommand is one ``_SPECS`` entry: its CSV columns, its row source and its JSON
 metadata keys in order.  ``_run`` calibrates the countries once, builds the metadata and
-writes table rows or ``(country, SweepGrid)`` lattices through ``_write``, the one emitter:
-long-format CSV, or JSON with provenance metadata.  Every command's rows come from one
-``_layout``, and JSON bytes are still those of one ``json.dumps(document, indent=2)``.
+writes table rows or ``(country, SweepGrid)`` lattices in the layout that ``_layout`` gives,
+the one place each format is decided: long-format CSV under a header, or the bytes of one
+``json.dumps(document, indent=2)`` with provenance metadata.
 
 Exit codes: 0 success, 1 usage or input-validation failure, 2 data error,
 141 standard output closed early (as for a tool killed by SIGPIPE): what ``main``
@@ -21,7 +21,6 @@ import signal
 import stat
 import sys
 from contextlib import contextmanager, suppress
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -237,43 +236,35 @@ def _opened(path):
         raise
 
 
-def _write(path, fmt: str, command: str, fields, metadata, write_rows) -> None:
-    """Write a CSV header, or the bytes of ``json.dumps(document, indent=2)``, around the
-    rows that ``write_rows(handle, fmt)``, a row writer with its rows bound, writes."""
-    if fmt == "csv":
-        start, end = ",".join(fields) + "\n", ""
-    else:  # the document's bytes, cut where its rows go: the last null
-        import json
-        document = {"command": command, "metadata": metadata, "rows": None}
-        start, end = (json.dumps(document, indent=2) + "\n").rsplit("null", 1)
-    with _opened(path) as handle:
-        handle.write(start)
-        write_rows(handle, fmt)
-        handle.write(end)
-
-
-def _layout(fields, fmt: str):
+def _layout(command: str, fields, metadata, fmt: str):
     """The text before each field, the row end, the text before, between and after the rows,
-    and the value encoder.  No CSV field needs quoting: countries are letters, clamps fixed
-    words, float reprs comma-free.  JSON rows are json.dumps(document, indent=2) bytes."""
+    and the value encoder of one output.  CSV is a header line and rows; no field needs
+    quoting, as countries are letters, clamps fixed words and floats comma-free.  JSON is the
+    bytes of ``json.dumps(document, indent=2)`` and a newline, the document holding the
+    command, the metadata and the row dicts."""
     if fmt == "csv":
-        return ("", *[","] * (len(fields) - 1)), "\n", ("", "", ""), str
-    from json.encoder import encode_basestring_ascii as quote
+        return ("", *[","] * (len(fields) - 1)), "\n", (",".join(fields) + "\n", "", ""), str
+    import json
+    quote = json.encoder.encode_basestring_ascii
+    document = {"command": command, "metadata": metadata, "rows": None}
+    start, end = (json.dumps(document, indent=2) + "\n").rsplit("null", 1)  # the rows' null
     prefixes = [f",\n      {quote(name)}: " for name in fields]
-    return (f"    {{{prefixes[0][1:]}", *prefixes[1:]), "\n    }", ("[\n", ",\n", "\n  ]"), (
+    return (f"    {{{prefixes[0][1:]}", *prefixes[1:]), "\n    }", (
+        start + "[\n", ",\n", "\n  ]" + end), (
         lambda value: quote(value) if isinstance(value, str) else float.__repr__(value))
 
 
-def _write_table_rows(fields, rows, handle, fmt: str) -> None:
-    """Write rows of values in ``fields`` order: each field's prefix and encoded value."""
-    prefixes, row_end, (lead, sep, end), encode = _layout(fields, fmt)
+def _write_table_rows(layout, rows, handle) -> None:
+    """Write the whole output: each row is each field's prefix and encoded value."""
+    prefixes, row_end, (lead, sep, end), encode = layout
     handle.write(lead + sep.join(["".join([prefix + encode(value) for prefix, value
                                            in zip(prefixes, row)]) + row_end for row in rows]) + end)
 
 
-def _write_lattice_rows(lattices, handle, fmt: str) -> None:
-    """Write each cell's row, head + repr(beta_w) + blue[j] + repr(share) + tail, and the ends."""
-    prefixes, row_end, (lead, sep, end), encode = _layout(SWEEP_FIELDS, fmt)
+def _write_lattice_rows(layout, lattices, handle) -> None:
+    """Write the whole output: each cell's row is head + repr(beta_w) + blue[j] + repr(share)
+    + tail, written a matrix row at a time."""
+    prefixes, row_end, (lead, sep, end), encode = layout
     tails = [f"{prefixes[5]}{encode(clamp.value)}{row_end}" for clamp in CLAMPS]
     for country, sweep in lattices:
         head = f"{prefixes[0]}{encode(country)}{prefixes[1]}{encode(sweep.v_over_l)}{prefixes[2]}"
@@ -378,17 +369,18 @@ def _run(args, records, provenance) -> int:
     values = {**vars(args), **provenance, **computed}
     metadata = {key: values[key] for key in keys}
     if getattr(args, "out_dir", None) is None:
-        write_rows = (partial(_write_lattice_rows, rows) if fields == SWEEP_FIELDS
-                      else partial(_write_table_rows, fields, rows))
-        _write(args.output, args.format, args.command, fields, metadata, write_rows)
+        write_rows = _write_lattice_rows if fields == SWEEP_FIELDS else _write_table_rows
+        with _opened(args.output) as handle:
+            write_rows(_layout(args.command, fields, metadata, args.format), rows, handle)
         return EXIT_OK
     out_dir = Path(args.out_dir)  # a file per sweep lattice, each checked before this mkdir
     out_dir.mkdir(parents=True, exist_ok=True)
     for country, sweep in rows:
         metadata.update(v_over_l=sweep.v_over_l, degenerate_rows=degenerate_cells(
             sweep.profile, sweep.beta_white, sweep.beta_blue))
-        _write(out_dir / f"sweep_{country}_{sweep.v_over_l!r}.{args.format}", args.format,
-               "sweep", fields, metadata, partial(_write_lattice_rows, [(country, sweep)]))
+        with _opened(out_dir / f"sweep_{country}_{sweep.v_over_l!r}.{args.format}") as handle:
+            _write_lattice_rows(_layout("sweep", fields, metadata, args.format),
+                                [(country, sweep)], handle)
     return EXIT_OK
 
 

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from vaxalloc import CountryRecord, EconomyProfile, Scenario, calibrate
 
+pytest_plugins = ["pytester"]
+
 
 # Strategies for uncalibrated profiles and their risks.
 RISK = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))

@@ -342,7 +342,7 @@ def test_country_code_is_two_code_points_that_are_letters(tmp_path, capsys):
 
 def _fail_after_one_row(monkeypatch):
     # Write part of the first lattice, then fail the way a full disk would.
-    def write_then_fail(lattices, handle, fmt):
+    def write_then_fail(layout, lattices, handle):
         handle.write("XA,partial\n")
         raise OSError(28, "No space left on device")
 
@@ -563,54 +563,43 @@ def _lattices(draw):
     return lattices
 
 
-def _reference_table_rows(fields, rows, fmt):
-    """The table rows as csv.writer and one json.dumps of the row dicts, a level deeper."""
+_METADATA = st.dictionaries(st.text(), st.recursive(
+    st.none() | st.booleans() | st.integers() | _FINITE | st.text(),
+    lambda values: st.lists(values, max_size=3) | st.dictionaries(st.text(), values, max_size=3),
+    max_leaves=8), max_size=4)
+
+
+def _reference_output(command, fields, metadata, rows, fmt):
+    """One whole output as csv.writer writes the header and rows, or as json.dumps writes
+    the document of the command, the metadata and the row dicts."""
     if fmt == "json":
-        return json.dumps([dict(zip(fields, row)) for row in rows], indent=2).replace("\n", "\n  ")
+        return json.dumps({"command": command, "metadata": metadata,
+                           "rows": [dict(zip(fields, row)) for row in rows]}, indent=2) + "\n"
     handle = io.StringIO()
-    csv.writer(handle, lineterminator="\n").writerows(rows)
+    csv.writer(handle, lineterminator="\n").writerows([fields, *rows])
     return handle.getvalue()
 
 
-def _reference_lattice_rows(lattices, fmt):
-    """The lattice rows from per-format templates that spell each field name."""
-    lead, sep, end = ("[\n", ",\n", "\n  ]") if fmt == "json" else ("", "", "")
-    rows = []
-    for country, lattice in lattices:
-        for i, beta_w in enumerate(lattice.beta_white):
-            for j, beta_b in enumerate(lattice.beta_blue):
-                ratio = float(lattice.v_blue_star[i, j] / lattice.vaccines)
-                clamp = CLAMPS[lattice.clamp[i, j]].value
-                rows.append(
-                    f"{country},{lattice.v_over_l!r},{beta_w!r},{beta_b!r},{ratio!r},{clamp}\n"
-                    if fmt == "csv" else
-                    f'    {{\n      "country": {json.dumps(country)},\n'
-                    f'      "v_over_l": {lattice.v_over_l!r},\n      "beta_w": {beta_w!r},\n'
-                    f'      "beta_b": {beta_b!r},\n      "v_ratio": {ratio!r},\n'
-                    f'      "clamp": "{clamp}"\n    }}')
-    return lead + sep.join(rows) + end
-
-
 @settings(max_examples=50, deadline=None, database=None)
-@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]), lattices=_lattices())
-def test_row_writers_write_the_bytes_of_csv_writer_and_json_dumps(data, fmt, lattices):
-    def written(write_rows, *args):
+@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]), metadata=_METADATA,
+       lattices=_lattices())
+def test_row_writers_write_the_bytes_of_csv_writer_and_json_dumps(data, fmt, metadata, lattices):
+    def written(write_rows, command, fields, rows):
         handle = io.StringIO()
-        write_rows(*args, handle, fmt)
+        write_rows(cli._layout(command, fields, metadata, fmt), rows, handle)
         return handle.getvalue()
 
-    for fields in dict.fromkeys(fields for fields, _, _ in cli._SPECS.values()):
+    for command, (fields, _, _) in cli._SPECS.items():
         row = st.tuples(*(_ROW_VALUES.get(name, _FINITE) for name in fields))
         rows = data.draw(st.lists(row, min_size=1, max_size=4))
-        assert written(cli._write_table_rows, fields, rows) == _reference_table_rows(fields, rows,
-                                                                                     fmt)
-    text = written(cli._write_lattice_rows, lattices)
-    assert text == _reference_lattice_rows(lattices, fmt)
+        assert written(cli._write_table_rows, command, fields, rows) == _reference_output(
+            command, fields, metadata, rows, fmt)
     rows = [(country, lattice.v_over_l, beta_w, beta_b, float(lattice.v_blue_star[i, j]),
              CLAMPS[lattice.clamp[i, j]].value) for country, lattice in lattices
             for i, beta_w in enumerate(lattice.beta_white)
             for j, beta_b in enumerate(lattice.beta_blue)]
-    assert text == _reference_table_rows(cli.SWEEP_FIELDS, rows, fmt)
+    assert written(cli._write_lattice_rows, "sweep", cli.SWEEP_FIELDS, lattices) == (
+        _reference_output("sweep", cli.SWEEP_FIELDS, metadata, rows, fmt))
 
 
 def test_calibrate_solve_and_audit_never_import_numpy(tmp_path):
@@ -757,7 +746,7 @@ def test_json_sweep_memory_does_not_grow_with_stocks(capsys):
 
 
 def test_failed_json_output_leaves_no_file(tmp_path, capsys, monkeypatch):
-    def write_then_fail(lattices, handle, fmt):
+    def write_then_fail(layout, lattices, handle):
         handle.write('[\n    {"country": "XA"')
         raise OSError(28, "No space left on device")
 
@@ -937,8 +926,8 @@ def test_an_interrupt_leaves_main_and_no_output(interrupt, raised, tmp_path, mon
     # main sets no handler of its own: the caller's runs, and what it raises leaves main.
     target, real = tmp_path / "s.csv", cli._write_lattice_rows
 
-    def write_then_interrupt(lattices, handle, fmt):
-        real(lattices, handle, fmt)
+    def write_then_interrupt(layout, lattices, handle):
+        real(layout, lattices, handle)
         assert [path.name for path in tmp_path.iterdir()] == [f".s.csv.{os.getpid()}.tmp"]
         interrupt()
 
