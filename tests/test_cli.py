@@ -563,10 +563,13 @@ def _lattices(draw):
     return lattices
 
 
-_METADATA = st.dictionaries(st.text(), st.recursive(
-    st.none() | st.booleans() | st.integers() | _FINITE | st.text(),
-    lambda values: st.lists(values, max_size=3) | st.dictionaries(st.text(), values, max_size=3),
-    max_leaves=8), max_size=4)
+# Metadata values shaped like the CLI's: a scalar, a flag's tuple of floats, a one-level
+# dict (grid, oracle) or a string (a dataset path, which may read "null", the text at
+# whose last occurrence _layout cuts the JSON document).
+_SCALARS = st.one_of(st.booleans(), st.integers(), _FINITE)
+_METADATA_VALUES = st.one_of(_SCALARS, st.lists(_FINITE, max_size=3),
+                             st.dictionaries(st.text(), _SCALARS, max_size=3),
+                             st.sampled_from(["null", "null.csv"]) | st.text())
 
 
 def _reference_output(command, fields, metadata, rows, fmt):
@@ -581,25 +584,25 @@ def _reference_output(command, fields, metadata, rows, fmt):
 
 
 @settings(max_examples=50, deadline=None, database=None)
-@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]), metadata=_METADATA,
-       lattices=_lattices())
-def test_row_writers_write_the_bytes_of_csv_writer_and_json_dumps(data, fmt, metadata, lattices):
-    def written(write_rows, command, fields, rows):
+@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]), lattices=_lattices())
+def test_row_writers_write_the_bytes_of_csv_writer_and_json_dumps(data, fmt, lattices):
+    def check(write_rows, command, rows, reference_rows):
+        fields, _, keys = cli._SPECS[command]
+        metadata = data.draw(st.fixed_dictionaries(dict.fromkeys(keys, _METADATA_VALUES)))
         handle = io.StringIO()
         write_rows(cli._layout(command, fields, metadata, fmt), rows, handle)
-        return handle.getvalue()
+        assert handle.getvalue() == _reference_output(command, fields, metadata,
+                                                      reference_rows, fmt)
 
     for command, (fields, _, _) in cli._SPECS.items():
         row = st.tuples(*(_ROW_VALUES.get(name, _FINITE) for name in fields))
         rows = data.draw(st.lists(row, min_size=1, max_size=4))
-        assert written(cli._write_table_rows, command, fields, rows) == _reference_output(
-            command, fields, metadata, rows, fmt)
+        check(cli._write_table_rows, command, rows, rows)
     rows = [(country, lattice.v_over_l, beta_w, beta_b, float(lattice.v_blue_star[i, j]),
              CLAMPS[lattice.clamp[i, j]].value) for country, lattice in lattices
             for i, beta_w in enumerate(lattice.beta_white)
             for j, beta_b in enumerate(lattice.beta_blue)]
-    assert written(cli._write_lattice_rows, "sweep", cli.SWEEP_FIELDS, lattices) == (
-        _reference_output("sweep", cli.SWEEP_FIELDS, metadata, rows, fmt))
+    check(cli._write_lattice_rows, "sweep", lattices, rows)
 
 
 def test_calibrate_solve_and_audit_never_import_numpy(tmp_path):
