@@ -173,17 +173,14 @@ def _parse_args(parser: _Parser, argv: Sequence[str]) -> argparse.Namespace:
     return subparser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
-def _resolve_dataset(args) -> tuple[Path, str]:
-    if args.input:
-        return Path(args.input), "flag"
-    env = os.environ.get(DATASET_ENV_VAR)
-    if env:
-        return Path(env), "env"
-    return builtin_dataset_path(), "builtin"
-
-
 def _select_records(args):
-    path, origin = _resolve_dataset(args)
+    env = os.environ.get(DATASET_ENV_VAR)
+    if args.input:
+        path, origin = Path(args.input), "flag"
+    elif env:
+        path, origin = Path(env), "env"
+    else:
+        path, origin = builtin_dataset_path(), "builtin"
     try:
         records = load_countries(path)
     except OSError as exc:

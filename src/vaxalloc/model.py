@@ -200,13 +200,6 @@ def _check_pair(profile: EconomyProfile, scenario: Scenario) -> None:
         )
 
 
-def _check_v_blue(scenario: Scenario, v_blue: float) -> None:
-    if not (0.0 <= v_blue <= scenario.vaccines):
-        raise ModelInputError(
-            f"v_blue ({v_blue!r}) outside the feasible range [0, {scenario.vaccines!r}]"
-        )
-
-
 def _terms(profile: EconomyProfile, beta_white, beta_blue) -> tuple:
     # The closed form's terms, by plain operators on floats or numpy arrays alike: a white
     # dose's value (a worker goes from gamma*(1-beta_w) expected units at home to 1 at the
@@ -247,7 +240,9 @@ def effective_labor(profile: EconomyProfile, scenario: Scenario,
     V - v_blue, go to white-collar workers.
     """
     _check_pair(profile, scenario)
-    _check_v_blue(scenario, v_blue)
+    if not (0.0 <= v_blue <= scenario.vaccines):
+        raise ModelInputError(
+            f"v_blue ({v_blue!r}) outside the feasible range [0, {scenario.vaccines!r}]")
     return _effective_labor(profile, scenario, v_blue,
                             _terms(profile, scenario.beta_white, scenario.beta_blue))
 

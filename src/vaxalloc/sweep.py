@@ -76,14 +76,15 @@ class GridSpec(_Frozen):
         return int(math.floor(intervals)) + 1
 
     def values(self) -> tuple[float, ...]:
-        return _lattice(self.beta_min, self.step, self.points)
+        return _lattice(self.beta_min, self.beta_max, self.step, self.points)
 
 
 # typed: GridSpec(0, 1, 1) == GridSpec(0.0, 1.0, 1.0), but only one yields ints.
 @functools.lru_cache(maxsize=8, typed=True)
-def _lattice(beta_min: float, step: float, points: int) -> tuple[float, ...]:
-    # Rounding keeps lattice values like 0.15 exact instead of 0.15000000000000002.
-    return tuple(round(beta_min + i * step, 12) for i in range(points))
+def _lattice(beta_min: float, beta_max: float, step: float, points: int) -> tuple[float, ...]:
+    # Rounding keeps lattice values like 0.15 exact instead of 0.15000000000000002.  It,
+    # or the slack in points, can lift the last value past beta_max, so it is clamped there.
+    return tuple(min(round(beta_min + i * step, 12), beta_max) for i in range(points))
 
 
 def _riskier_blue(beta_white: tuple | np.ndarray,
@@ -128,15 +129,15 @@ class ThresholdSummary(_Frozen):
     cells_considered: int
 
 
-def _levels(profile: EconomyProfile, stocks: Iterable[float], beta_white: tuple[float, ...],
-            beta_blue: float) -> list[tuple[float, float]]:
+def _levels(profile: EconomyProfile, stocks: Iterable[float],
+            beta_white: tuple[float, ...]) -> list[tuple[float, float]]:
     """(v_over_l, vaccines) of each stock, the first checked with every white-collar risk
-    and the rest with the first.  A risk is bad at every stock or none, so this one stock
-    check reports the first bad (stock, risk) pair in row order."""
+    and the rest with the first, at blue-collar risk 0.0.  A risk is bad at every stock or
+    none, so this one stock check reports the first bad (stock, risk) pair in row order."""
     levels = []
     for v_over_l in stocks:
         for beta_w in beta_white[:1] if levels else beta_white:
-            scenario = Scenario.with_coverage(profile, beta_w, beta_blue, v_over_l)
+            scenario = Scenario.with_coverage(profile, beta_w, 0.0, v_over_l)
         levels.append((v_over_l, scenario.vaccines))
     return levels
 
@@ -153,9 +154,8 @@ def sweep_matrices(profile: EconomyProfile, stocks: Iterable[float], grid: GridS
     if beta_white is not None and not 0 < len(beta_white) <= MAX_GRID_POINTS:
         raise ModelInputError(  # one lattice row per risk
             f"beta_white needs 1 to {MAX_GRID_POINTS} risks, got {len(beta_white)}")
-    checked = beta_blue[:1] if beta_white is None else beta_white  # GridSpec checked its own
+    levels = _levels(profile, stocks, (0.0,) if beta_white is None else beta_white)
     beta_white = beta_blue if beta_white is None else tuple(beta_white)
-    levels = _levels(profile, stocks, checked, beta_blue[0])
 
     def solved() -> Iterator[SweepGrid]:
         solve_stock = stock_solver(profile, np.asarray(beta_white)[:, None],
@@ -213,8 +213,7 @@ def threshold_shares(profiles: Iterable[EconomyProfile], stocks: Iterable[float]
     """
     risks = grid.values()
     stocks = tuple(stocks)
-    levels = [(profile, _levels(profile, stocks, risks[:1], risks[0]))  # GridSpec checked risks
-              for profile in profiles]
+    levels = [(profile, _levels(profile, stocks, (0.0,))) for profile in profiles]
     _check_threshold(threshold)
     axis = np.asarray(risks, dtype=float)
     mask, considered = _riskier_blue(axis, axis)

@@ -1,6 +1,7 @@
 import csv
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -193,6 +194,16 @@ def test_sweep_stdout_long_format(capsys):
         assert float(row["v_ratio"]) == result.cells[key].v_blue_star / result.vaccines
 
 
+def test_sweep_writes_no_risk_above_beta_max(capsys):
+    # The slack in GridSpec.points admits an eleventh point, 1.00000000001 unclamped.
+    code, out, _ = run_cli(["sweep", "--country", "XA", "--v-over-l", "0.4", "--beta-min", "0",
+                            "--beta-max", "1", "--beta-step", "0.100000000001"], capsys)
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    assert len(rows) == 11 * 11
+    assert max(float(row[axis]) for row in rows for axis in ("beta_w", "beta_b")) == 1.0
+
+
 def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -226,6 +237,11 @@ def test_dataset_env_override(tmp_path, capsys, monkeypatch):
     document = json.loads(out)
     assert document["metadata"]["dataset_origin"] == "env"
     assert [row["country"] for row in document["rows"]] == ["QQ"]
+    monkeypatch.setenv("VAXALLOC_DATASET", "")  # empty: the built-in dataset
+    code, out, _ = run_cli(["calibrate", "--format", "json"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["metadata"] == {"gamma": 0.8, "dataset": str(builtin_dataset_path()),
+                                           "dataset_origin": "builtin"}
 
 
 def test_input_flag_beats_env(tmp_path, capsys, monkeypatch):
@@ -1136,12 +1152,15 @@ _DATASET_TEXT = st.builds(
 )
 
 
-@settings(max_examples=100, deadline=None, database=None)
-@given(data=st.one_of(
+_DATASET_BYTES = st.one_of(
     st.binary(max_size=200),
     st.builds(lambda text, encoding: text.encode(encoding, errors="replace"),
               _DATASET_TEXT, st.sampled_from(["utf-8", "latin-1", "utf-16"])),
-))
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=_DATASET_BYTES)
 def test_any_dataset_bytes_calibrate_or_exit_two_with_one_line(data, tmp_path_factory):
     dataset = tmp_path_factory.mktemp("fuzz") / "countries.csv"
     dataset.write_bytes(data)
@@ -1153,6 +1172,43 @@ def test_any_dataset_bytes_calibrate_or_exit_two_with_one_line(data, tmp_path_fa
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
     else:
         assert err.getvalue() == ""
+
+
+# _DATASET_BYTES rarely draws a dataset that calibrate accepts, so half the draws are
+# well-formed rows at the edges of the accepted range: employment from subnormal to
+# past 1e154, telework shares next to 0 and 1.
+_EDGE_DATASET = st.lists(st.tuples(
+    st.sampled_from(["XA", "XB", "\u00c4\u00d6"]),
+    st.one_of(st.floats(1e-300, 1e154).map(repr),
+              st.sampled_from(["5e-324", "1e-323", "1e154", "5e154"])),
+    st.one_of(st.floats(1e-15, 1.0 - 1e-15).map(repr),
+              st.sampled_from(["1e-16", "0.9999999999999999"])),
+), min_size=1, max_size=3, unique_by=lambda row: row[0]).map(
+    lambda rows: "\n".join(["country,employment,telework_share", *map(",".join, rows), ""])
+).map(str.encode)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.one_of(_DATASET_BYTES, _EDGE_DATASET))
+@example(data=b"country,employment,telework_share\nXA,1e-323,0.5\n")  # no dose at 0.2
+def test_every_command_on_an_accepted_dataset_exits_0_1_or_2_with_one_line(data,
+                                                                          tmp_path_factory):
+    dataset = tmp_path_factory.mktemp("fuzz") / "countries.csv"
+    dataset.write_bytes(data)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        if main(["calibrate", "--input", str(dataset)]) != EXIT_OK:
+            return
+    risks = ["--beta-w", "0.1", "--beta-b", "0.3"]
+    for command, fmt in itertools.product((["solve", *risks], ["audit", *risks], ["frontier"],
+                                           ["sweep"], ["summarize"]), ("csv", "json")):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main([*command, "--input", str(dataset), "--format", fmt])  # no traceback
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA)
+        if code == EXIT_OK:
+            assert err.getvalue() == ""
+        else:
+            assert err.getvalue().startswith("vaxalloc: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 # Every numeric flag of each subcommand; the required ones get a valid value

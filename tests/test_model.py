@@ -103,9 +103,12 @@ class TestEffectiveLabor:
 
     def test_rejects_allocation_outside_stock(self, example_profile):
         scenario = Scenario(0.05, 0.3, 20.0)
-        for v_blue in (-0.5, 20.5):
-            with pytest.raises(ModelInputError):
-                effective_labor(example_profile, scenario, v_blue)
+        for function, (v_blue, shown) in itertools.product(
+                (effective_labor, objective, unemployment),
+                ((math.nan, "nan"), (-0.5, "-0.5"), (20.5, "20.5"))):
+            with pytest.raises(ModelInputError, match=rf"^v_blue \({shown}\) outside the "
+                                                      r"feasible range \[0, 20\.0\]$"):
+                function(example_profile, scenario, v_blue)
 
 
 class TestObjective:

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import SIZE, labor_scale
 from vaxalloc import (
@@ -37,6 +37,19 @@ def countries():
     return {r.country_code: r for r in load_countries(builtin_dataset_path())}
 
 
+@st.composite
+def _accepted_grids(draw):
+    """GridSpecs of any bounds and 1 to 2000 steps, some a hair wider than an exact divisor."""
+    beta_min = draw(st.floats(0.0, 1.0, exclude_max=True))
+    beta_max = draw(st.floats(beta_min, 1.0, exclude_min=True))
+    intervals = draw(st.one_of(st.floats(1.0, MAX_GRID_POINTS - 1.0),
+                               st.integers(1, MAX_GRID_POINTS - 1).map(lambda n: n - n * 1e-11)))
+    try:
+        return GridSpec(beta_min, beta_max, (beta_max - beta_min) / intervals)
+    except ModelInputError:  # a step that underflows, or rounds to one point
+        assume(False)
+
+
 class TestGridSpec:
     def test_default_lattice(self):
         values = GridSpec().values()
@@ -44,10 +57,21 @@ class TestGridSpec:
         assert values[0] == 0.05
         assert values[-1] == 0.95
         assert values[2] == 0.15  # rounding keeps lattice values clean
+        assert GridSpec(0.05, 0.93, 0.05).values()[-1] == 0.9
 
-    def test_custom_lattice_stays_below_max(self):
-        values = GridSpec(0.05, 0.93, 0.05).values()
-        assert values[-1] == 0.9
+    @settings(max_examples=100, deadline=None)
+    @given(grid=_accepted_grids())
+    @example(grid=GridSpec(0.05, 0.93, 0.05))
+    # the slack in points admits 1.00000000001 and 1.00000000005
+    @example(grid=GridSpec(0.0, 1.0, 0.100000000001))
+    @example(grid=GridSpec(5e-11, 1.0, 0.5))
+    # rounding to 12 decimals lifts the last value to 0.61803398875
+    @example(grid=GridSpec(0.0, 0.6180339887498949, 0.6180339887498949))
+    def test_custom_lattice_stays_below_max(self, grid):
+        values = grid.values()
+        assert len(values) == grid.points
+        assert list(values) == sorted(values)
+        assert 0.0 <= values[0] and values[-1] <= grid.beta_max
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ModelInputError):
@@ -230,7 +254,8 @@ class TestSweepMatrices:
 
     def test_checks_each_risk_at_the_first_stock_only(self, countries, monkeypatch):
         # s stocks and k risks take s + k - 1 scenarios: the first stock with every
-        # risk, then each later stock with the first risk.
+        # risk, then each later stock with the first risk.  A full grid, whose risks
+        # GridSpec checked, checks its stocks at white-collar risk 0.0.
         profile = calibrate(countries["XA"], gamma=0.8)
         builds, real = [], Scenario.__post_init__
         monkeypatch.setattr(Scenario, "__post_init__",
@@ -239,7 +264,7 @@ class TestSweepMatrices:
                               ((0.6, 0.2), None)):
             builds.clear()
             sweep_matrices(profile, stocks, GridSpec(), risks)
-            risks = risks or GridSpec().values()[:1]
+            risks = risks or (0.0,)
             assert [(scenario.beta_white, scenario.vaccines) for scenario in builds] == [
                 (beta_w, stocks[0] * profile.total_labor) for beta_w in risks] + [
                 (risks[0], v_over_l * profile.total_labor) for v_over_l in stocks[1:]]
@@ -393,10 +418,11 @@ class TestThresholdShares:
         self, records, gamma, grid, stocks, threshold, block
     ):
         # Profile-major: the summaries of several profiles are each profile's concatenated.
+        # The reference checks every profile's stocks before the first threshold_share.
         profiles = [calibrate(CountryRecord("XX", *record), gamma) for record in records]
-        expected = _outcome(lambda: [threshold_share(sweep_matrix(profile, v_over_l, grid),
-                                                     threshold)
-                                     for profile in profiles for v_over_l in stocks])
+        expected = _outcome(lambda: [threshold_share(lattice, threshold) for lattices in
+                                     [sweep_matrices(profile, stocks, grid) for profile in profiles]
+                                     for lattice in lattices])
         saved, sweep._BLOCK = sweep._BLOCK, block
         try:
             assert _outcome(lambda: threshold_shares(profiles, stocks, grid, threshold)) == expected
@@ -432,14 +458,19 @@ class TestThresholdShares:
     # a stock of 5e-324 * L: a root above it has a share that overflows to inf
     @example(labor=(60.0, 40.0), alpha=(1.0, 1.5), gamma=0.8, grid=GridSpec(0.0, 1.0, 0.25),
              stocks=[5e-324], threshold=0.5, block=7)
+    # both risks round to 0.0, so no riskier-blue cell, and the second stock to no dose:
+    # every stock is checked before the first lattice is counted
+    @example(labor=(0.5, 6.712945057292303e-223), alpha=(1.0, 1.0), gamma=1.0,
+             grid=GridSpec(0.0, 1.401298464324817e-45, 1.401298464324817e-45),
+             stocks=[0.5, 5e-324], threshold=0.5, block=7)
     def test_uncalibrated_profiles_count_as_their_full_lattices(
         self, labor, alpha, gamma, grid, stocks, threshold, block
     ):
         # Degenerate riskier-blue cells and roots far outside [0, V], which
         # calibrated profiles never have: the unclamped count must still agree.
         profile = EconomyProfile(*labor, *alpha, gamma)
-        expected = _outcome(lambda: [threshold_share(sweep_matrix(profile, v_over_l, grid),
-                                                     threshold) for v_over_l in stocks])
+        expected = _outcome(lambda: [threshold_share(lattice, threshold)
+                                     for lattice in sweep_matrices(profile, stocks, grid)])
         saved, sweep._BLOCK = sweep._BLOCK, block
         try:
             assert _outcome(lambda: threshold_shares([profile], stocks, grid, threshold)) == expected
