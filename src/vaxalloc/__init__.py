@@ -14,10 +14,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "calibration": ("DEFAULT_GAMMA", "CountryRecord", "DataFormatError",
                     "builtin_dataset_path", "calibrate", "load_countries", "parse_countries"),
-    "model": ("AllocationResult", "Clamp", "DegenerateModelError", "EconomyProfile",
-              "ModelInputError", "Partials", "Scenario", "UnemploymentBreakdown",
-              "crossing_point", "effective_labor", "interior_optimum", "objective",
-              "partials", "solve", "unemployment"),
+    "model": ("AllocationResult", "Clamp", "EconomyProfile", "ModelInputError", "Scenario",
+              "effective_labor", "objective", "solve"),
     "oracle": ("OracleConfig", "brute_force_optimum"),
     "sweep": ("GridSpec", "SweepGrid", "ThresholdSummary",
               "sweep_matrices", "sweep_matrix", "threshold_share", "threshold_shares"),

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,14 +44,6 @@ if TYPE_CHECKING:
 
 class ModelInputError(ValueError):
     """An argument violates a model precondition (range or pairing)."""
-
-
-class DegenerateModelError(ValueError):
-    """Vaccination cannot move effective labor in either task.
-
-    Happens only at beta_b = 0, beta_w = 0, gamma = 1: every dose is
-    worthless and every allocation is equally optimal.
-    """
 
 
 class Clamp(str, Enum):
@@ -126,10 +118,6 @@ class EconomyProfile(_Frozen):
     def total_labor(self) -> float:
         return self.labor_white + self.labor_blue
 
-    @property
-    def blue_share(self) -> float:
-        return self.labor_blue / self.total_labor
-
 
 class Scenario(_Frozen):
     """One epidemic/supply configuration: infection risks and vaccine stock."""
@@ -178,20 +166,6 @@ class AllocationResult(_Frozen):
     surplus_white: float    # idle white-collar effective labor, >= 0
 
 
-class Partials(_Frozen):
-    """Sensitivities of the unclamped optimum to the two infection risks."""
-
-    d_beta_blue: float
-    d_beta_white: float
-
-
-class UnemploymentBreakdown(NamedTuple):
-    surplus_blue: float     # effective-labor units
-    surplus_white: float    # effective-labor units
-    headcount_blue: float   # heads laid off among healthy blue-collars
-    headcount_white: float  # heads laid off among healthy white-collars
-
-
 def _check_pair(profile: EconomyProfile, scenario: Scenario) -> None:
     if not scenario.vaccines < profile.total_labor:
         raise ModelInputError(
@@ -209,25 +183,6 @@ def _terms(profile: EconomyProfile, beta_white, beta_blue) -> tuple:
     return (white_dose, profile.alpha_blue * beta_blue, profile.alpha_white * white_dose,
             (1.0 - beta_white) * profile.gamma * profile.labor_white,
             (1.0 - beta_blue) * profile.alpha_blue * profile.labor_blue)
-
-
-def _interior(profile: EconomyProfile, vaccines: float, terms: tuple) -> tuple[float, float]:
-    # The unclamped root and the leverage; NaN and 0 where no dose moves anything.
-    white_dose, blue_term, white_term, no_dose_white, no_dose_blue = terms
-    leverage = blue_term + white_term
-    if leverage == 0.0:
-        return math.nan, leverage
-    return (profile.alpha_white * (no_dose_white + white_dose * vaccines)
-            - no_dose_blue) / leverage, leverage
-
-
-def _surpluses(profile: EconomyProfile, eff_blue: float, eff_white: float) -> tuple[float, float]:
-    # Effective labor in one task beyond what the other can absorb at the
-    # Leontief ratio.  The two gaps have opposite signs, so at most one
-    # surplus is positive.
-    surplus_blue = max(0.0, eff_blue - profile.alpha_white / profile.alpha_blue * eff_white)
-    surplus_white = max(0.0, eff_white - profile.alpha_blue / profile.alpha_white * eff_blue)
-    return surplus_blue, surplus_white
 
 
 def effective_labor(profile: EconomyProfile, scenario: Scenario,
@@ -264,21 +219,6 @@ def objective(profile: EconomyProfile, scenario: Scenario, v_blue: float) -> flo
     return abs(profile.alpha_blue * eff_blue - profile.alpha_white * eff_white)
 
 
-def interior_optimum(profile: EconomyProfile, scenario: Scenario) -> float:
-    """Unclamped dose count that exactly balances the two task inputs.
-
-    May lie outside [0, V]; raises DegenerateModelError when doses cannot
-    move either labor pool (beta_b = beta_w = 0 with gamma = 1).
-    """
-    _check_pair(profile, scenario)
-    interior, leverage = _interior(profile, scenario.vaccines,
-                                   _terms(profile, scenario.beta_white, scenario.beta_blue))
-    if leverage == 0.0:
-        raise DegenerateModelError("vaccination has no effect on effective labor "
-                                   "(beta_blue = 0, beta_white = 0, gamma = 1)")
-    return interior
-
-
 def solve(profile: EconomyProfile, scenario: Scenario) -> AllocationResult:
     """Optimal vaccine split and the employment accounting it induces.
 
@@ -288,10 +228,13 @@ def solve(profile: EconomyProfile, scenario: Scenario) -> AllocationResult:
     degenerate no-leverage case every allocation is optimal and the labor
     split L_b / L is used so downstream sweeps stay total.
     """
-    _check_pair(profile, scenario)  # the one validation: the helpers only see v_star in [0, V]
+    _check_pair(profile, scenario)  # the one validation: the helper only sees v_star in [0, V]
     vaccines = scenario.vaccines
     terms = _terms(profile, scenario.beta_white, scenario.beta_blue)
-    interior, leverage = _interior(profile, vaccines, terms)
+    white_dose, blue_term, white_term, no_dose_white, no_dose_blue = terms
+    leverage = blue_term + white_term
+    interior = math.nan if leverage == 0.0 else (  # no root where no dose moves anything
+        profile.alpha_white * (no_dose_white + white_dose * vaccines) - no_dose_blue) / leverage
     if leverage == 0.0:
         clamp, v_star = Clamp.DEGENERATE, vaccines * profile.labor_blue / profile.total_labor
     elif interior <= 0.0:
@@ -304,7 +247,6 @@ def solve(profile: EconomyProfile, scenario: Scenario) -> AllocationResult:
     eff_blue, eff_white = _effective_labor(profile, scenario, v_star, terms)
     supply_blue = profile.alpha_blue * eff_blue
     supply_white = profile.alpha_white * eff_white
-    surplus_blue, surplus_white = _surpluses(profile, eff_blue, eff_white)
     return AllocationResult(
         v_blue_star=v_star,
         v_blue_interior=interior,
@@ -313,8 +255,10 @@ def solve(profile: EconomyProfile, scenario: Scenario) -> AllocationResult:
         effective_white=eff_white,
         objective=abs(supply_blue - supply_white),
         output=min(supply_blue, supply_white),
-        surplus_blue=surplus_blue,
-        surplus_white=surplus_white,
+        # Effective labor in one task beyond what the other can absorb at the Leontief
+        # ratio.  The two gaps have opposite signs, so at most one surplus is positive.
+        surplus_blue=max(0.0, eff_blue - profile.alpha_white / profile.alpha_blue * eff_white),
+        surplus_white=max(0.0, eff_white - profile.alpha_blue / profile.alpha_white * eff_blue),
     )
 
 
@@ -380,65 +324,3 @@ def degenerate_cells(profile: EconomyProfile, beta_white: Iterable[float],
     _, blue_term, white_term, _, _ = _terms(profile, np.fromiter(beta_white, float),
                                             np.fromiter(beta_blue, float))
     return int(np.count_nonzero(white_term == 0.0)) * int(np.count_nonzero(blue_term == 0.0))
-
-
-def unemployment(
-    profile: EconomyProfile, scenario: Scenario, v_blue: float
-) -> UnemploymentBreakdown:
-    """Idle labor in each pool under an allocation, plus layoff headcounts.
-
-    Surpluses are effective-labor units: whatever one task supplies beyond
-    what the other task can absorb at the Leontief ratio.  At most one is
-    positive.  Headcounts follow the layoff convention that blue-collar
-    workers all carry unit productivity, while on the white-collar side the
-    unvaccinated remote workers (productivity gamma) are laid off first and
-    vaccinated office workers (productivity 1) only after them.
-    """
-    eff_blue, eff_white = effective_labor(profile, scenario, v_blue)
-    surplus_blue, surplus_white = _surpluses(profile, eff_blue, eff_white)
-
-    v_white = scenario.vaccines - v_blue
-    remote_heads = (1.0 - scenario.beta_white) * max(0.0, profile.labor_white - v_white)
-    remote_effective = profile.gamma * remote_heads
-    if surplus_white < remote_effective:
-        headcount_white = surplus_white / profile.gamma
-    else:
-        headcount_white = remote_heads + (surplus_white - remote_effective)
-    return UnemploymentBreakdown(
-        surplus_blue=surplus_blue,
-        surplus_white=surplus_white,
-        headcount_blue=surplus_blue,
-        headcount_white=headcount_white,
-    )
-
-
-def partials(profile: EconomyProfile, scenario: Scenario) -> Partials:
-    """Derivatives of the unclamped optimum with respect to both risks.
-
-    Raising blue-collar risk pulls doses toward blue-collars as long as not
-    all of them are covered (root below L_b); raising white-collar risk
-    pulls doses away whenever white-collar coverage is short of L_w.
-    """
-    interior, leverage = _interior(profile, scenario.vaccines,
-                                   _terms(profile, scenario.beta_white, scenario.beta_blue))
-    if leverage == 0.0:
-        raise DegenerateModelError("partial derivatives are undefined without dose leverage")
-    _check_pair(profile, scenario)
-    d_beta_blue = profile.alpha_blue / leverage * (profile.labor_blue - interior)
-    d_beta_white = (profile.alpha_white * profile.gamma / leverage
-                    * (scenario.vaccines - profile.labor_white - interior))
-    return Partials(d_beta_blue=d_beta_blue, d_beta_white=d_beta_white)
-
-
-def crossing_point(beta_white: float, gamma: float) -> float:
-    """Blue-collar risk at which both labor pools shrink proportionally.
-
-    At beta_blue = 1 - (1 - beta_white) * gamma the two redundancies
-    coincide for every stock level, and the optimal dose share equals the
-    blue-collar labor share in any balanced economy.
-    """
-    if not (0.0 <= beta_white <= 1.0):
-        raise ModelInputError(f"beta_white must lie in [0, 1], got {beta_white!r}")
-    if not (0.0 < gamma <= 1.0):
-        raise ModelInputError(f"gamma must lie in (0, 1], got {gamma!r}")
-    return 1.0 - (1.0 - beta_white) * gamma

@@ -82,9 +82,11 @@ class GridSpec(_Frozen):
 # typed: GridSpec(0, 1, 1) == GridSpec(0.0, 1.0, 1.0), but only one yields ints.
 @functools.lru_cache(maxsize=8, typed=True)
 def _lattice(beta_min: float, beta_max: float, step: float, points: int) -> tuple[float, ...]:
-    # Rounding keeps lattice values like 0.15 exact instead of 0.15000000000000002.  It,
-    # or the slack in points, can lift the last value past beta_max, so it is clamped there.
-    return tuple(min(round(beta_min + i * step, 12), beta_max) for i in range(points))
+    # Rounding keeps lattice values like 0.15 exact instead of 0.15000000000000002.  It can
+    # lower the first value below beta_min, and it or the slack in points can lift the last
+    # past beta_max, so each is clamped back; a value equal to beta_min keeps its sign.
+    values = (min(round(beta_min + i * step, 12), beta_max) for i in range(points))
+    return tuple(v if v >= beta_min else beta_min for v in values)
 
 
 def _riskier_blue(beta_white: tuple | np.ndarray,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from vaxalloc import CountryRecord, EconomyProfile, Scenario, calibrate
+from vaxalloc import CountryRecord, EconomyProfile, Scenario, calibrate, solve
 
 pytest_plugins = ["pytester"]
 
@@ -52,3 +52,31 @@ def labor_scale(profile: EconomyProfile) -> float:
         profile.alpha_white * profile.labor_white
         + profile.alpha_blue * profile.labor_blue
     )
+
+
+# The paper's formulas that the package does not compute, as references for its results.
+def crossing_point(beta_white: float, gamma: float) -> float:
+    """Blue-collar risk at which both labor pools shrink proportionally, so that the
+    optimal dose share is the blue-collar labor share at every stock."""
+    return 1.0 - (1.0 - beta_white) * gamma
+
+
+def partials(profile: EconomyProfile, scenario: Scenario) -> tuple[float, float]:
+    """Derivatives of the unclamped root in (beta_blue, beta_white), at ``solve``'s root.
+
+    Raising blue-collar risk pulls doses toward blue-collars while the root is below L_b;
+    raising white-collar risk pulls them away while white-collar coverage is short of L_w.
+    """
+    root = solve(profile, scenario).v_blue_interior
+    leverage = (profile.alpha_blue * scenario.beta_blue
+                + profile.alpha_white * (1.0 - profile.gamma * (1.0 - scenario.beta_white)))
+    return (profile.alpha_blue / leverage * (profile.labor_blue - root),
+            profile.alpha_white * profile.gamma / leverage
+            * (scenario.vaccines - profile.labor_white - root))
+
+
+def shifted_root(profile: EconomyProfile, scenario: Scenario, d_white: float,
+                 d_blue: float) -> float:
+    """``solve``'s unclamped root with each risk shifted, for finite differences."""
+    return solve(profile, Scenario(scenario.beta_white + d_white, scenario.beta_blue + d_blue,
+                                   scenario.vaccines)).v_blue_interior

@@ -9,7 +9,8 @@ import time
 
 import numpy as np
 
-from conftest import draw_profile, draw_scenario, labor_scale
+from conftest import (crossing_point, draw_profile, draw_scenario, labor_scale, partials,
+                      shifted_root)
 from vaxalloc import (
     Clamp,
     EconomyProfile,
@@ -18,15 +19,11 @@ from vaxalloc import (
     builtin_dataset_path,
     brute_force_optimum,
     calibrate,
-    crossing_point,
-    interior_optimum,
     load_countries,
-    partials,
     solve,
     sweep_matrices,
     sweep_matrix,
     threshold_share,
-    unemployment,
 )
 from vaxalloc.cli import main as cli_main
 
@@ -75,6 +72,7 @@ def test_criterion_2_closed_form_identities():
     profiles = [calibrate(r, 0.8) for r in load_countries(builtin_dataset_path())]
     profiles += [draw_profile(rng) for _ in range(50)]
     for profile in profiles:
+        share = profile.labor_blue / profile.total_labor
         for beta_white in (0.05, 0.25, float(rng.uniform(0.0, 0.9))):
             beta_blue = crossing_point(beta_white, profile.gamma)
             if not beta_blue < 1.0:
@@ -82,7 +80,7 @@ def test_criterion_2_closed_form_identities():
             for v_over_l in (0.2, 0.4, 0.6):
                 scenario = Scenario.with_coverage(profile, beta_white, beta_blue, v_over_l)
                 ratio = solve(profile, scenario).v_blue_star / scenario.vaccines
-                assert abs(ratio - profile.blue_share) <= 1e-9
+                assert abs(ratio - share) <= 1e-9
 
     # (b) gamma = 1 with equal risks splits doses along the labor split
     for _ in range(200):
@@ -91,11 +89,11 @@ def test_criterion_2_closed_form_identities():
         scenario = draw_scenario(rng, profile, beta_range=(beta, beta),
                                  coverage_range=(0.05, 0.9))
         ratio = solve(profile, scenario).v_blue_star / scenario.vaccines
-        assert abs(ratio - profile.blue_share) <= 1e-12
+        assert abs(ratio - profile.labor_blue / profile.total_labor) <= 1e-12
     degenerate = draw_profile(rng, gamma_range=(1.0, 1.0))
     scenario = Scenario(0.0, 0.0, 0.5 * degenerate.total_labor)
     ratio = solve(degenerate, scenario).v_blue_star / scenario.vaccines
-    assert abs(ratio - degenerate.blue_share) <= 1e-12
+    assert abs(ratio - degenerate.labor_blue / degenerate.total_labor) <= 1e-12
 
     # (c) corner allocations cut the no-vaccine surplus by exactly the
     #     absorbable dose value
@@ -105,22 +103,18 @@ def test_criterion_2_closed_form_identities():
         attempts += 1
         profile = draw_profile(rng)
         scenario = draw_scenario(rng, profile, coverage_range=(0.01, 0.4))
-        clamp = solve(profile, scenario).clamp
-        baseline = unemployment(
-            profile, Scenario(scenario.beta_white, scenario.beta_blue, 0.0), 0.0
-        )
+        corner = solve(profile, scenario)  # at a corner, every dose goes to one pool
+        baseline = solve(profile, Scenario(scenario.beta_white, scenario.beta_blue, 0.0))
         tolerance = 1e-9 * labor_scale(profile)
-        if clamp is Clamp.ALL_BLUE:
+        if corner.clamp is Clamp.ALL_BLUE:
             seen_blue += 1
-            corner = unemployment(profile, scenario, scenario.vaccines)
             reduction = (
                 profile.alpha_blue / profile.alpha_white
                 * scenario.beta_blue * scenario.vaccines
             )
             assert abs(corner.surplus_white - (baseline.surplus_white - reduction)) <= tolerance
-        elif clamp is Clamp.ALL_WHITE:
+        elif corner.clamp is Clamp.ALL_WHITE:
             seen_white += 1
-            corner = unemployment(profile, scenario, 0.0)
             dose_value = 1.0 - profile.gamma * (1.0 - scenario.beta_white)
             reduction = (
                 profile.alpha_white / profile.alpha_blue
@@ -149,46 +143,28 @@ def test_criterion_3_derivative_verification():
         )
         scenario = draw_scenario(rng, profile, beta_range=(0.01, 0.99),
                                  coverage_range=(0.01, 0.95))
-        sensitivities = partials(profile, scenario)
-        root = interior_optimum(profile, scenario)
+        d_beta_blue, d_beta_white = partials(profile, scenario)
+        root = solve(profile, scenario).v_blue_interior
 
         # sign conditions hold everywhere sampled
         if root <= profile.labor_blue:
-            assert sensitivities.d_beta_blue >= 0.0
+            assert d_beta_blue >= 0.0
         if scenario.vaccines - profile.labor_white - root <= 0.0:
-            assert sensitivities.d_beta_white <= 0.0
+            assert d_beta_white <= 0.0
 
         # relative error needs a visible reference; skip the measure-zero
         # neighborhood of derivative sign changes
         floor = 1e-7 * profile.total_labor
-        if abs(sensitivities.d_beta_blue) < floor or abs(sensitivities.d_beta_white) < floor:
+        if abs(d_beta_blue) < floor or abs(d_beta_white) < floor:
             continue
         accepted += 1
 
-        fd_blue = (
-            interior_optimum(
-                profile,
-                Scenario(scenario.beta_white, scenario.beta_blue + step, scenario.vaccines),
-            )
-            - interior_optimum(
-                profile,
-                Scenario(scenario.beta_white, scenario.beta_blue - step, scenario.vaccines),
-            )
-        ) / (2 * step)
-        fd_white = (
-            interior_optimum(
-                profile,
-                Scenario(scenario.beta_white + step, scenario.beta_blue, scenario.vaccines),
-            )
-            - interior_optimum(
-                profile,
-                Scenario(scenario.beta_white - step, scenario.beta_blue, scenario.vaccines),
-            )
-        ) / (2 * step)
-        assert abs(fd_blue - sensitivities.d_beta_blue) <= 1e-6 * abs(sensitivities.d_beta_blue)
-        assert abs(fd_white - sensitivities.d_beta_white) <= 1e-6 * abs(
-            sensitivities.d_beta_white
-        )
+        fd_blue = (shifted_root(profile, scenario, 0.0, step)
+                   - shifted_root(profile, scenario, 0.0, -step)) / (2 * step)
+        fd_white = (shifted_root(profile, scenario, step, 0.0)
+                    - shifted_root(profile, scenario, -step, 0.0)) / (2 * step)
+        assert abs(fd_blue - d_beta_blue) <= 1e-6 * abs(d_beta_blue)
+        assert abs(fd_white - d_beta_white) <= 1e-6 * abs(d_beta_white)
     assert accepted >= 1_000
 
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import RISK, SIZE, draw_profile, draw_scenario, labor_scale
+from conftest import (RISK, SIZE, crossing_point, draw_profile, draw_scenario, labor_scale,
+                      partials, shifted_root)
 from vaxalloc import (
     Clamp,
-    DegenerateModelError,
     EconomyProfile,
     GridSpec,
     ModelInputError,
@@ -16,14 +16,10 @@ from vaxalloc import (
     brute_force_optimum,
     builtin_dataset_path,
     calibrate,
-    crossing_point,
     effective_labor,
-    interior_optimum,
     load_countries,
     objective,
-    partials,
     solve,
-    unemployment,
 )
 from vaxalloc import model
 from vaxalloc.model import CLAMPS, degenerate_cells, stock_solver
@@ -76,8 +72,7 @@ class TestValidation:
         solve(example_profile, Scenario(0.1, 0.5, 20.0))
         assert len(calls) == 1
         too_many = Scenario(0.1, 0.5, 100.0)
-        for public in (interior_optimum, lambda p, s: effective_labor(p, s, 0.0),
-                       lambda p, s: objective(p, s, 0.0)):
+        for public in (lambda p, s: effective_labor(p, s, 0.0), lambda p, s: objective(p, s, 0.0)):
             with pytest.raises(ModelInputError):
                 public(example_profile, too_many)
 
@@ -104,7 +99,7 @@ class TestEffectiveLabor:
     def test_rejects_allocation_outside_stock(self, example_profile):
         scenario = Scenario(0.05, 0.3, 20.0)
         for function, (v_blue, shown) in itertools.product(
-                (effective_labor, objective, unemployment),
+                (effective_labor, objective),
                 ((math.nan, "nan"), (-0.5, "-0.5"), (20.5, "20.5"))):
             with pytest.raises(ModelInputError, match=rf"^v_blue \({shown}\) outside the "
                                                       r"feasible range \[0, 20\.0\]$"):
@@ -119,7 +114,7 @@ class TestObjective:
     def test_symmetric_shrinkage_restores_balance(self):
         profile = EconomyProfile(60.0, 40.0, 1.0, 1.5, 1.0)
         scenario = Scenario(0.2, 0.2, 20.0)
-        balanced_split = 20.0 * profile.blue_share
+        balanced_split = 20.0 * profile.labor_blue / profile.total_labor
         assert objective(profile, scenario, balanced_split) == pytest.approx(0.0, abs=1e-12)
 
     def test_prepandemic_balance(self):
@@ -144,7 +139,7 @@ class TestObjective:
 class TestInteriorOptimum:
     def test_reference_scenario(self, example_profile):
         scenario = Scenario(0.05, 0.3, 20.0)
-        root = interior_optimum(example_profile, scenario)
+        root = solve(example_profile, scenario).v_blue_interior
         assert root == pytest.approx(8.4 / 0.69, rel=1e-12)
         # independent confirmation: dense grid search lands within one step
         config = OracleConfig(grid_points=100_001, refine=False)
@@ -154,18 +149,14 @@ class TestInteriorOptimum:
     @pytest.mark.parametrize("vaccines", [12.0, 20.0, 60.0])
     def test_crossing_identity(self, example_profile, vaccines):
         beta_blue = crossing_point(0.05, 0.8)
-        root = interior_optimum(example_profile, Scenario(0.05, beta_blue, vaccines))
+        root = solve(example_profile, Scenario(0.05, beta_blue, vaccines)).v_blue_interior
         assert root == pytest.approx(vaccines * 0.4, abs=1e-9 * vaccines)
 
     def test_symmetry_with_full_remote_productivity(self):
         profile = EconomyProfile(60.0, 40.0, 1.0, 1.5, 1.0)
-        root = interior_optimum(profile, Scenario(0.3, 0.3, 20.0))
-        assert root == pytest.approx(20.0 * profile.blue_share, abs=1e-12 * 20.0)
-
-    def test_degenerate_raises(self):
-        profile = EconomyProfile(60.0, 40.0, 1.0, 1.5, 1.0)
-        with pytest.raises(DegenerateModelError):
-            interior_optimum(profile, Scenario(0.0, 0.0, 20.0))
+        root = solve(profile, Scenario(0.3, 0.3, 20.0)).v_blue_interior
+        assert root == pytest.approx(20.0 * profile.labor_blue / profile.total_labor,
+                                     abs=1e-12 * 20.0)
 
 
 class TestSolve:
@@ -454,40 +445,15 @@ def test_degenerate_cells_counts_the_kernels_degenerate_codes(
 
 class TestUnemployment:
     def test_no_vaccine_baseline(self, example_profile):
-        breakdown = unemployment(example_profile, Scenario(0.05, 0.3, 0.0), 0.0)
-        assert breakdown.surplus_blue == 0.0
-        assert breakdown.surplus_white == pytest.approx(45.6 - 1.5 * 28, rel=1e-9)
-        assert breakdown.headcount_blue == 0.0
-        # laid-off remote workers carry productivity gamma
-        assert breakdown.headcount_white == pytest.approx(3.6 / 0.8, rel=1e-9)
+        result = solve(example_profile, Scenario(0.05, 0.3, 0.0))
+        assert result.surplus_blue == 0.0
+        assert result.surplus_white == pytest.approx(45.6 - 1.5 * 28, rel=1e-9)
 
     def test_balanced_economy_has_no_surplus(self):
         profile = EconomyProfile(60.0, 40.0, 1.0, 1.5, 1.0)
-        breakdown = unemployment(profile, Scenario(0.0, 0.0, 0.0), 0.0)
-        assert breakdown.surplus_blue == 0.0
-        assert breakdown.surplus_white == 0.0
-
-    def test_headcount_spills_into_office_workers(self):
-        # Surplus exceeds what the remote pool supplies, so vaccinated
-        # office workers (productivity 1) are laid off too.
-        profile = EconomyProfile(10.0, 10.0, 1.0, 1.0, 0.5)
-        breakdown = unemployment(profile, Scenario(0.0, 1.0, 8.0), 0.0)
-        assert breakdown.surplus_white == pytest.approx(9.0, rel=1e-12)
-        assert breakdown.headcount_white == pytest.approx(10.0, rel=1e-12)
-
-    def test_white_doses_beyond_the_white_pool_leave_no_remote_workers(self):
-        # V - v_blue = 60 doses for 30 white-collars: all of them are in the office,
-        # so every white-collar laid off has productivity 1.
-        profile = EconomyProfile(30.0, 70.0, 1.0, 30.0 / 70.0, 0.8)
-        breakdown = unemployment(profile, Scenario(0.1, 0.6, 60.0), 0.0)
-        assert breakdown.headcount_white == breakdown.surplus_white == pytest.approx(26.4)
-
-    def test_surplus_equal_to_the_remote_pool_lays_off_exactly_the_remote_workers(self):
-        # surplus_white is exactly gamma * remote_heads (0.1 * 3.0): at equality every
-        # remote worker goes, so the count is the 3 remote heads, not surplus / gamma.
-        profile = EconomyProfile(3.0, 7.0, 1.0, 3.0 / 7.0, 0.1)
-        breakdown = unemployment(profile, Scenario(0.0, 1.0, 0.0), 0.0)
-        assert breakdown.headcount_white == 3.0
+        result = solve(profile, Scenario(0.0, 0.0, 0.0))
+        assert result.surplus_blue == 0.0
+        assert result.surplus_white == 0.0
 
     def test_all_blue_corner_reduction_identity(self):
         rng = np.random.default_rng(606)
@@ -497,15 +463,11 @@ class TestUnemployment:
             scenario = draw_scenario(
                 rng, profile, beta_range=(0.0, 1.0), coverage_range=(0.01, 0.3)
             )
-            if solve(profile, scenario).clamp is not Clamp.ALL_BLUE:
+            with_doses = solve(profile, scenario)
+            if with_doses.clamp is not Clamp.ALL_BLUE:
                 continue
             checked += 1
-            with_doses = unemployment(profile, scenario, scenario.vaccines)
-            baseline = unemployment(
-                profile,
-                Scenario(scenario.beta_white, scenario.beta_blue, 0.0),
-                0.0,
-            )
+            baseline = solve(profile, Scenario(scenario.beta_white, scenario.beta_blue, 0.0))
             reduction = (
                 profile.alpha_blue / profile.alpha_white
                 * scenario.beta_blue
@@ -524,15 +486,11 @@ class TestUnemployment:
             scenario = draw_scenario(
                 rng, profile, beta_range=(0.0, 1.0), coverage_range=(0.01, 0.3)
             )
-            if solve(profile, scenario).clamp is not Clamp.ALL_WHITE:
+            with_doses = solve(profile, scenario)
+            if with_doses.clamp is not Clamp.ALL_WHITE:
                 continue
             checked += 1
-            with_doses = unemployment(profile, scenario, 0.0)
-            baseline = unemployment(
-                profile,
-                Scenario(scenario.beta_white, scenario.beta_blue, 0.0),
-                0.0,
-            )
+            baseline = solve(profile, Scenario(scenario.beta_white, scenario.beta_blue, 0.0))
             dose_value = 1.0 - profile.gamma * (1.0 - scenario.beta_white)
             reduction = (
                 profile.alpha_white / profile.alpha_blue * dose_value * scenario.vaccines
@@ -547,46 +505,33 @@ class TestUnemployment:
         for _ in range(300):
             profile = draw_profile(rng)
             scenario = draw_scenario(rng, profile)
-            v_blue = float(rng.uniform(0.0, scenario.vaccines))
-            breakdown = unemployment(profile, scenario, v_blue)
-            assert breakdown.surplus_blue >= 0.0
-            assert breakdown.surplus_white >= 0.0
-            assert (
-                min(breakdown.surplus_blue, breakdown.surplus_white)
-                <= 1e-9 * labor_scale(profile)
-            )
+            result = solve(profile, scenario)
+            assert result.surplus_blue >= 0.0
+            assert result.surplus_white >= 0.0
+            assert min(result.surplus_blue, result.surplus_white) <= 1e-9 * labor_scale(profile)
 
 
 class TestPartials:
     def test_reference_values_match_finite_differences(self, example_profile):
         scenario = Scenario(0.05, 0.3, 20.0)
-        sensitivities = partials(example_profile, scenario)
-        assert sensitivities.d_beta_blue == pytest.approx(60.4914933837429, rel=1e-9)
-        assert sensitivities.d_beta_white == pytest.approx(-60.49149338374294, rel=1e-9)
+        d_beta_blue, d_beta_white = partials(example_profile, scenario)
+        assert d_beta_blue == pytest.approx(60.4914933837429, rel=1e-9)
+        assert d_beta_white == pytest.approx(-60.49149338374294, rel=1e-9)
 
         step = 1e-6
-        fd_blue = (
-            interior_optimum(example_profile, Scenario(0.05, 0.3 + step, 20.0))
-            - interior_optimum(example_profile, Scenario(0.05, 0.3 - step, 20.0))
-        ) / (2 * step)
-        fd_white = (
-            interior_optimum(example_profile, Scenario(0.05 + step, 0.3, 20.0))
-            - interior_optimum(example_profile, Scenario(0.05 - step, 0.3, 20.0))
-        ) / (2 * step)
-        assert sensitivities.d_beta_blue == pytest.approx(fd_blue, rel=1e-6)
-        assert sensitivities.d_beta_white == pytest.approx(fd_white, rel=1e-6)
+        fd_blue = (shifted_root(example_profile, scenario, 0.0, step)
+                   - shifted_root(example_profile, scenario, 0.0, -step)) / (2 * step)
+        fd_white = (shifted_root(example_profile, scenario, step, 0.0)
+                    - shifted_root(example_profile, scenario, -step, 0.0)) / (2 * step)
+        assert d_beta_blue == pytest.approx(fd_blue, rel=1e-6)
+        assert d_beta_white == pytest.approx(fd_white, rel=1e-6)
 
     def test_zero_once_all_blue_collars_covered(self):
         # beta_b = 1, gamma = 1, beta_w = 0 puts the root at alpha_w*L_w/alpha_b = L_b.
         profile = EconomyProfile(6.0, 3.0, 1.0, 2.0, 1.0)
         scenario = Scenario(0.0, 1.0, 4.0)
-        assert interior_optimum(profile, scenario) == 3.0
-        assert partials(profile, scenario).d_beta_blue == 0.0
-
-    def test_degenerate_raises(self):
-        profile = EconomyProfile(60.0, 40.0, 1.0, 1.5, 1.0)
-        with pytest.raises(DegenerateModelError):
-            partials(profile, Scenario(0.0, 0.0, 20.0))
+        assert solve(profile, scenario).v_blue_interior == 3.0
+        assert partials(profile, scenario)[0] == 0.0
 
     def test_finite_difference_agreement_randomized(self):
         rng = np.random.default_rng(909)
@@ -594,43 +539,28 @@ class TestPartials:
         for _ in range(200):
             profile = draw_profile(rng, gamma_range=(0.35, 0.995))
             scenario = draw_scenario(rng, profile, beta_range=(0.01, 0.99))
-            sensitivities = partials(profile, scenario)
-            root = interior_optimum(profile, scenario)
+            d_beta_blue, d_beta_white = partials(profile, scenario)
+            root = solve(profile, scenario).v_blue_interior
 
             # sign conditions are exact
             if root <= profile.labor_blue:
-                assert sensitivities.d_beta_blue >= 0.0
+                assert d_beta_blue >= 0.0
             if scenario.vaccines - profile.labor_white - root <= 0.0:
-                assert sensitivities.d_beta_white <= 0.0
+                assert d_beta_white <= 0.0
 
             floor = 1e-7 * profile.total_labor
-            fd_blue = (
-                interior_optimum(
-                    profile,
-                    Scenario(scenario.beta_white, scenario.beta_blue + step, scenario.vaccines),
-                )
-                - interior_optimum(
-                    profile,
-                    Scenario(scenario.beta_white, scenario.beta_blue - step, scenario.vaccines),
-                )
-            ) / (2 * step)
-            if abs(sensitivities.d_beta_blue) > floor:
-                assert fd_blue == pytest.approx(sensitivities.d_beta_blue, rel=1e-6)
-            fd_white = (
-                interior_optimum(
-                    profile,
-                    Scenario(scenario.beta_white + step, scenario.beta_blue, scenario.vaccines),
-                )
-                - interior_optimum(
-                    profile,
-                    Scenario(scenario.beta_white - step, scenario.beta_blue, scenario.vaccines),
-                )
-            ) / (2 * step)
-            if abs(sensitivities.d_beta_white) > floor:
-                assert fd_white == pytest.approx(sensitivities.d_beta_white, rel=1e-6)
+            fd_blue = (shifted_root(profile, scenario, 0.0, step)
+                       - shifted_root(profile, scenario, 0.0, -step)) / (2 * step)
+            if abs(d_beta_blue) > floor:
+                assert fd_blue == pytest.approx(d_beta_blue, rel=1e-6)
+            fd_white = (shifted_root(profile, scenario, step, 0.0)
+                        - shifted_root(profile, scenario, -step, 0.0)) / (2 * step)
+            if abs(d_beta_white) > floor:
+                assert fd_white == pytest.approx(d_beta_white, rel=1e-6)
 
 
 class TestCrossingPoint:
+    # The reference that the crossing-point identities compare solve against.
     def test_reference_value(self):
         assert crossing_point(0.05, 0.8) == pytest.approx(0.24, rel=1e-12)
 
@@ -639,9 +569,3 @@ class TestCrossingPoint:
 
     def test_certain_white_infection(self):
         assert crossing_point(1.0, 0.8) == 1.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ModelInputError):
-            crossing_point(-0.1, 0.8)
-        with pytest.raises(ModelInputError):
-            crossing_point(0.5, 0.0)

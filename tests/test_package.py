@@ -19,7 +19,6 @@ from vaxalloc import (
     EconomyProfile,
     GridSpec,
     OracleConfig,
-    Partials,
     Scenario,
     SweepGrid,
     ThresholdSummary,
@@ -64,7 +63,6 @@ CASES = [
     (EconomyProfile, (600.0, 400.0, 1.0, 1.5, 0.8), {"gamma": 1.5}),
     (Scenario, (0.05, 0.3, 200.0), {"beta_blue": -0.1}),
     (AllocationResult, (100.0, 100.0, Clamp.INTERIOR, 300.0, 400.0, 0.0, 450.0, 0.0, 0.0), None),
-    (Partials, (0.5, -0.25), None),
     (CountryRecord, ("XA", 1000.0, 0.4), {"country_code": "X1"}),
     (OracleConfig, (101, False), {"grid_points": 2}),
     (GridSpec, (0.1, 0.9, 0.1), {"step": 0.0}),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import SIZE, labor_scale
+from conftest import SIZE, crossing_point, labor_scale
 from vaxalloc import (
     CountryRecord,
     EconomyProfile,
@@ -18,7 +18,6 @@ from vaxalloc import (
     builtin_dataset_path,
     brute_force_optimum,
     calibrate,
-    crossing_point,
     load_countries,
     solve,
     sweep_matrices,
@@ -67,11 +66,13 @@ class TestGridSpec:
     @example(grid=GridSpec(5e-11, 1.0, 0.5))
     # rounding to 12 decimals lifts the last value to 0.61803398875
     @example(grid=GridSpec(0.0, 0.6180339887498949, 0.6180339887498949))
+    # and lowers the first to 0.123456789012
+    @example(grid=GridSpec(0.1234567890123456, 0.9, 0.1))
     def test_custom_lattice_stays_below_max(self, grid):
         values = grid.values()
         assert len(values) == grid.points
         assert list(values) == sorted(values)
-        assert 0.0 <= values[0] and values[-1] <= grid.beta_max
+        assert grid.beta_min <= values[0] and values[-1] <= grid.beta_max
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ModelInputError):
@@ -143,11 +144,12 @@ class TestFrontierCurve:
         profile = calibrate(countries["XD"], gamma=0.8)
         beta_white = 0.05
         cross = crossing_point(beta_white, 0.8)  # 0.24, on a step-0.04 lattice
+        share = profile.labor_blue / profile.total_labor
         grid = GridSpec(0.04, 0.96, 0.04)
         for v_over_l in (0.2, 0.4, 0.6):
             row = next(sweep_matrices(profile, (v_over_l,), grid, (beta_white,)))
             curve = dict(_shares(row))
-            assert curve[cross] == pytest.approx(profile.blue_share, abs=1e-9)
+            assert curve[cross] == pytest.approx(share, abs=1e-9)
 
     def test_nondecreasing_in_blue_risk(self, countries):
         for record in countries.values():
