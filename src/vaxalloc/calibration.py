@@ -19,6 +19,7 @@ a combining mark is refused.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from pathlib import Path
 from typing import IO, Iterable, Union
@@ -109,12 +110,15 @@ def parse_countries(source: Union[IO[str], Iterable[str]]) -> list[CountryRecord
 
 
 def load_countries(path: Union[str, Path]) -> list[CountryRecord]:
-    """Read and parse a country CSV file, which must be UTF-8."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        try:
-            return parse_countries(handle)
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"dataset {path} is not UTF-8 text ({exc.reason})") from None
+    """Read and parse a country CSV file, which must be UTF-8: its bytes are read and
+    decoded whole, so invalid UTF-8 anywhere is reported before any row."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"dataset {path} is not UTF-8 text ({exc.reason})") from None
+    return parse_countries(io.StringIO(text, newline=""))
 
 
 def builtin_dataset_path() -> Path:
@@ -130,9 +134,9 @@ def calibrate(record: CountryRecord, gamma: float = DEFAULT_GAMMA) -> EconomyPro
     white-collar coefficient normalized to one, the blue-collar coefficient
     L_w / L_b makes both tasks supply identical output before the epidemic.
     A record whose split rounds a pool to zero (a share below about 1e-16,
-    or subnormal employment), or whose employment is above 1e154, raises
-    DataFormatError naming its country.  Below that bound a product of two
-    labor-sized numbers, such as the degenerate split V * L_b, stays finite.
+    or subnormal employment), or whose employment is above 1e154, the
+    largest that the commands are checked at, raises DataFormatError naming
+    its country.
     """
     if not (0.0 < gamma <= 1.0):
         raise ModelInputError(f"gamma must lie in (0, 1], got {gamma!r}")

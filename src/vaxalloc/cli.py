@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import io
 import os
 import signal
 import stat
@@ -72,7 +73,8 @@ def _terminate(signum, frame):
 
 
 class _Parser(argparse.ArgumentParser):
-    commands: dict[str, _Parser]  # set by build_parser: subcommand name -> its parser
+    # set by build_parser: subcommand name -> its option strings, each to its action
+    flags: dict[str, dict[str, argparse.Action]]
 
     def error(self, message):  # keep argparse from calling sys.exit(2)
         raise UsageError(message)
@@ -86,6 +88,8 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _path(text: str) -> str:
+    if not text:  # open("") fails, and --input "" would read the built-in dataset
+        raise argparse.ArgumentTypeError("path is empty")
     if "\x00" in text:  # no system call accepts it; open would raise ValueError
         raise argparse.ArgumentTypeError(f"path contains a NUL byte: {text!r}")
     return text
@@ -98,79 +102,133 @@ def build_parser() -> _Parser:
         "on-site and remote-capable workers.",
     )
     common = _Parser(add_help=False)
-    common.add_argument(
-        "--input",
-        type=_path,
-        metavar="PATH",
-        help=f"country CSV (default: ${DATASET_ENV_VAR} or the built-in synthetic dataset)",
-    )
-    common.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
-                        help="home-office productivity retention (default %(default)s)")
-    common.add_argument("--country", metavar="CODE", help="restrict to one country code")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default %(default)s)")
-    common.add_argument("--output", type=_path, metavar="PATH", default="-",
-                        help="output file, '-' for standard output (default)")
+    shared = [
+        common.add_argument(
+            "--input",
+            type=_path,
+            metavar="PATH",
+            help=f"country CSV (default: ${DATASET_ENV_VAR} or the built-in synthetic dataset)",
+        ),
+        common.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
+                            help="home-office productivity retention (default %(default)s)"),
+        common.add_argument("--country", metavar="CODE", help="restrict to one country code"),
+        common.add_argument("--format", choices=("csv", "json"), default="csv",
+                            help="output format (default %(default)s)"),
+        common.add_argument("--output", type=_path, metavar="PATH", default="-",
+                            help="output file, '-' for standard output (default)"),
+    ]
 
     grid = _Parser(add_help=False)
-    grid.add_argument("--beta-min", type=float, default=0.05)
-    grid.add_argument("--beta-max", type=float, default=0.95)
-    grid.add_argument("--beta-step", type=float, default=0.05)
+    with_grid = shared + [
+        grid.add_argument("--beta-min", type=float, default=0.05),
+        grid.add_argument("--beta-max", type=float, default=0.95),
+        grid.add_argument("--beta-step", type=float, default=0.05),
+    ]
 
     sub = parser.add_subparsers(dest="command", required=True)
+    actions = {}  # subcommand -> its actions in parser order, after -h
 
-    p = sub.add_parser("calibrate", parents=[common],
-                       help="emit calibrated economy profiles")
+    sub.add_parser("calibrate", parents=[common], help="emit calibrated economy profiles")
+    actions["calibrate"] = shared
 
     p = sub.add_parser("solve", parents=[common], help="solve single scenarios")
-    p.add_argument("--beta-w", type=float, required=True, help="white-collar infection risk")
-    p.add_argument("--beta-b", type=float, required=True, help="blue-collar infection risk")
-    p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L,
-                   help="comma-separated vaccine coverage fractions (default 0.2,0.4,0.6)")
+    actions["solve"] = shared + [
+        p.add_argument("--beta-w", type=float, required=True, help="white-collar infection risk"),
+        p.add_argument("--beta-b", type=float, required=True, help="blue-collar infection risk"),
+        p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L,
+                       help="comma-separated vaccine coverage fractions (default 0.2,0.4,0.6)"),
+    ]
 
     p = sub.add_parser("frontier", parents=[common, grid],
                        help="dose share as a function of blue-collar risk")
-    p.add_argument("--beta-w", type=_float_list, default=DEFAULT_BETA_WHITE,
-                   help="comma-separated white-collar risks (default 0.05,0.25)")
-    p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L)
+    actions["frontier"] = with_grid + [
+        p.add_argument("--beta-w", type=_float_list, default=DEFAULT_BETA_WHITE,
+                       help="comma-separated white-collar risks (default 0.05,0.25)"),
+        p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L),
+    ]
 
     p = sub.add_parser("sweep", parents=[common, grid],
                        help="solve the full (beta_w, beta_b) matrix")
-    p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L)
-    p.add_argument("--out-dir", type=_path, metavar="DIR",
-                   help="write one file per (country, v_over_l) here instead of --output")
+    actions["sweep"] = with_grid + [
+        p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L),
+        p.add_argument("--out-dir", type=_path, metavar="DIR",
+                       help="write one file per (country, v_over_l) here instead of --output"),
+    ]
 
     p = sub.add_parser("summarize", parents=[common, grid],
                        help="share of riskier-blue-collar cells above a dose-share threshold")
-    p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                   help="dose-share cutoff (default %(default)s)")
+    actions["summarize"] = with_grid + [
+        p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L),
+        p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                       help="dose-share cutoff (default %(default)s)"),
+    ]
 
     p = sub.add_parser("audit", parents=[common],
                        help="compare the closed form against the brute-force oracle")
-    p.add_argument("--beta-w", type=float, required=True)
-    p.add_argument("--beta-b", type=float, required=True)
-    p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L)
-    p.add_argument("--grid-points", type=int, default=100_001)
-    p.add_argument("--no-refine", action="store_true",
-                   help="skip the golden-section refinement pass")
+    actions["audit"] = shared + [
+        p.add_argument("--beta-w", type=float, required=True),
+        p.add_argument("--beta-b", type=float, required=True),
+        p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L),
+        p.add_argument("--grid-points", type=int, default=100_001),
+        p.add_argument("--no-refine", action="store_true",
+                       help="skip the golden-section refinement pass"),
+    ]
 
-    parser.commands = dict(sub.choices)
+    parser.flags = {command: {option: action for action in command_actions
+                              for option in action.option_strings}
+                    for command, command_actions in actions.items()}
     return parser
 
 
 def _parse_args(parser: _Parser, argv: Sequence[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``, parsing a subcommand's argv with its parser alone.
-
-    When ``argv[0]`` names a subcommand, the full parser would only set
-    ``command`` and hand every later string, options included, to that
-    subparser, whose errors raise as its own.  Anything else (no arguments,
-    help, an unknown name, an option first) goes through the full parser.
+    """``parser.parse_args(argv)``, read from the subcommand's flag table if argv is well
+    formed: the subcommand, then ``flag value`` pairs, each flag one of its option strings
+    exactly (``--no-refine`` takes no value), each value ``-`` or not starting with ``-``
+    and passing the flag's type and choices, every required flag given.  The namespace is
+    built as argparse builds it: ``command``, then each action in parser order with its
+    last value or its default, a string default passed through its type.  Any other argv
+    (help, ``--flag=value``, an abbreviation, a missing or bad value) goes to ``parser``,
+    so help and usage errors stay its own.
     """
-    subparser = parser.commands.get(argv[0]) if argv else None
-    if subparser is None:
+    table = parser.flags.get(argv[0]) if argv else None
+    values = None if table is None else _flag_values(table, argv[1:])
+    if values is None:
         return parser.parse_args(argv)
-    return subparser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return argparse.Namespace(command=argv[0], **values)
+
+
+def _flag_values(table: dict[str, argparse.Action], args: Sequence[str]) -> Optional[dict]:
+    """Each action's dest and value, in parser order, or None if ``args`` is not well formed."""
+    seen = {}
+    tokens = iter(args)
+    for flag in tokens:
+        action = table.get(flag)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            seen[action.dest] = action.const
+            continue
+        text = next(tokens, None)
+        if text is None or (text.startswith("-") and text != "-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        seen[action.dest] = value
+    values = {}
+    for action in table.values():
+        if action.dest in seen:
+            values[action.dest] = seen[action.dest]
+        elif action.required:
+            return None
+        elif isinstance(action.default, str) and action.type is not None:
+            values[action.dest] = action.type(action.default)
+        else:
+            values[action.dest] = action.default
+    return values
 
 
 def _select_records(args):
@@ -194,9 +252,20 @@ def _select_records(args):
     return records, {"dataset": str(path), "dataset_origin": origin}
 
 
+class _Utf8File(io.BufferedWriter):
+    """``path`` opened for writing as a buffered binary file whose ``write`` takes text and
+    writes its UTF-8 bytes."""
+
+    def __init__(self, path) -> None:
+        super().__init__(io.FileIO(os.fspath(path), "w"))  # a str, so errors name a str
+
+    def write(self, text: str) -> int:
+        return super().write(text.encode())
+
+
 @contextmanager
 def _opened(path):
-    """Text handle on ``path``, or stdout for '-'.
+    """Text-writing handle on ``path``, or stdout for '-'.
 
     A new or regular file is written under a temporary sibling name and
     renamed into place once complete, so a failed run leaves the target
@@ -217,12 +286,12 @@ def _opened(path):
             raise
         in_place = False
     if in_place:
-        with open(target, "w", encoding="utf-8", newline="") as handle:
+        with _Utf8File(target) as handle:
             yield handle
         return
     temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        with open(temp, "w", encoding="utf-8", newline="") as handle:
+        with _Utf8File(temp) as handle:
             yield handle
         os.replace(temp, target)
     except BaseException as exc:

@@ -185,6 +185,22 @@ def _terms(profile: EconomyProfile, beta_white, beta_blue) -> tuple:
             (1.0 - beta_blue) * profile.alpha_blue * profile.labor_blue)
 
 
+def _split(profile: EconomyProfile, vaccines: float) -> float:
+    """The degenerate split V * L_b / L, in [0, V] at every magnitude.
+
+    V is scaled by its own binary exponent and both labors by L's, which is exact
+    while they stay normal: the bits are the plain expression's wherever it neither
+    underflows nor overflows, and L_b / L of V where it would.  Only a total that
+    rounds to L_b itself can lift the quotient an ulp past V, which ``min`` undoes.
+    A zero split is +0.0, as ``stock_solver``'s clamp writes it, even where V is -0.0.
+    """
+    total = profile.total_labor
+    fraction, exponent = math.frexp(vaccines)
+    scale = math.frexp(total)[1]
+    split = fraction * math.ldexp(profile.labor_blue, -scale) / math.ldexp(total, -scale)
+    return min(math.ldexp(split, exponent), vaccines) + 0.0
+
+
 def effective_labor(profile: EconomyProfile, scenario: Scenario,
                     v_blue: float) -> tuple[float, float]:
     """Effective labor (blue, white) when v_blue doses go to blue-collars.
@@ -236,7 +252,7 @@ def solve(profile: EconomyProfile, scenario: Scenario) -> AllocationResult:
     interior = math.nan if leverage == 0.0 else (  # no root where no dose moves anything
         profile.alpha_white * (no_dose_white + white_dose * vaccines) - no_dose_blue) / leverage
     if leverage == 0.0:
-        clamp, v_star = Clamp.DEGENERATE, vaccines * profile.labor_blue / profile.total_labor
+        clamp, v_star = Clamp.DEGENERATE, _split(profile, vaccines)
     elif interior <= 0.0:
         clamp, v_star = Clamp.ALL_WHITE, 0.0
     elif interior >= vaccines:
@@ -296,7 +312,7 @@ def stock_solver(profile: EconomyProfile, beta_white: np.ndarray | float,
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             roots = np.divide(numerator, leverage, out=numerator)
         if degenerate is not None:  # leverage == 0: no dose moves anything
-            roots[degenerate] = vaccines * profile.labor_blue / profile.total_labor
+            roots[degenerate] = _split(profile, vaccines)
         return roots
 
     def solve_stock(vaccines: float) -> tuple[np.ndarray, np.ndarray]:
@@ -307,8 +323,7 @@ def stock_solver(profile: EconomyProfile, beta_white: np.ndarray | float,
         code[all_white] = _ALL_WHITE
         np.minimum(v_star, vaccines, out=v_star)
         v_star[all_white] = 0.0
-        if degenerate is not None:  # the split again, as the clamp may have moved it
-            v_star[degenerate] = vaccines * profile.labor_blue / profile.total_labor
+        if degenerate is not None:  # the split lies in [0, V], so the clamp kept it
             code[degenerate] = _DEGENERATE
         return v_star, code
 

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import errno
+import functools
 import io
 import itertools
 import json
@@ -502,6 +504,26 @@ def test_employment_above_1e154_exits_2_before_any_output(command, tmp_path, cap
     dataset.write_text("country,employment,telework_share\nXA,1e154,0.4\n")
     code, out, err = run_cli(args, capsys)
     assert (code, err) == (EXIT_OK, "") and out
+
+
+@pytest.mark.parametrize("command", [["solve", "--beta-w", "0", "--beta-b", "0"],
+                                     ["sweep", "--beta-min", "0", "--beta-max", "0.5",
+                                      "--beta-step", "0.5"]],
+                         ids=lambda command: command[0])
+def test_tiny_employment_gets_the_labor_split_as_its_degenerate_share(command, tmp_path,
+                                                                      capsys):
+    # Below about 1e-154 heads the plain split V * L_b underflowed, so the share read 0.0.
+    dataset = tmp_path / "tiny.csv"
+    dataset.write_text("country,employment,telework_share\nXA,1e-300,0.4\n")
+    argv = [*command, "--gamma", "1", "--v-over-l", "0.2", "--input", str(dataset)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (EXIT_OK, "")
+    csv_rows = [row for row in read_csv(out) if row["clamp"] == "Degenerate"]
+    code, out, err = run_cli([*argv, "--format", "json"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    json_rows = [row for row in json.loads(out)["rows"] if row["clamp"] == "Degenerate"]
+    assert [row["v_ratio"] for row in csv_rows] == ["0.6"]
+    assert [row["v_ratio"] for row in json_rows] == [0.6]
 
 
 def _not_json(constant):
@@ -1056,10 +1078,14 @@ def test_output_under_a_regular_file_is_a_data_error_naming_it(tmp_path, capsys)
 ])
 def test_nul_byte_in_a_path_is_a_usage_error_naming_the_flag(command, flag, tmp_path, capsys,
                                                               monkeypatch):
+    # An empty path too, which would read the built-in dataset (--input), fail
+    # naming '.' (--output) or write into the working directory (--out-dir).
     monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli([command, "--country", "XA", flag, "a\x00b"], capsys)
-    assert (code, out) == (EXIT_USAGE, "")
-    assert err == f"vaxalloc: error: argument {flag}: path contains a NUL byte: 'a\\x00b'\n"
+    for path, problem in [("a\x00b", "path contains a NUL byte: 'a\\x00b'"),
+                          ("", "path is empty")]:
+        code, out, err = run_cli([command, "--country", "XA", flag, path], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"vaxalloc: error: argument {flag}: {problem}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1111,15 +1137,62 @@ _TOKEN = st.one_of(
     st.sampled_from(_VALUES),
     st.builds("{}={}".format, st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)),
 )
-_FULL_PARSER, _ROUTED_PARSER = cli.build_parser(), cli.build_parser()
+_FULL_PARSER, _TABLE_PARSER = cli.build_parser(), cli.build_parser()
+_COMMON_FLAGS = ["--input", "--gamma", "--country", "--format", "--output"]
+_GRID_FLAGS = ["--beta-min", "--beta-max", "--beta-step"]
+_FLAGS = {
+    "calibrate": _COMMON_FLAGS,
+    "solve": [*_COMMON_FLAGS, "--beta-w", "--beta-b", "--v-over-l"],
+    "frontier": [*_COMMON_FLAGS, *_GRID_FLAGS, "--beta-w", "--v-over-l"],
+    "sweep": [*_COMMON_FLAGS, *_GRID_FLAGS, "--v-over-l", "--out-dir"],
+    "summarize": [*_COMMON_FLAGS, *_GRID_FLAGS, "--v-over-l", "--threshold"],
+    "audit": [*_COMMON_FLAGS, "--beta-w", "--beta-b", "--v-over-l", "--grid-points",
+              "--no-refine"],
+}
+_PLAIN_VALUES = [value for value in _VALUES if not value.startswith("-")] + ["-"]
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@functools.cache
+def _taken_values(command, flag):
+    """The plain values that the full parser takes for ``flag`` in ``command``."""
+    def taken(value):
+        try:
+            _FULL_PARSER.parse_args([command, "--beta-w", "0", "--beta-b", "0", flag, value]
+                                    if command in ("solve", "audit") else [command, flag, value])
+        except cli.UsageError:
+            return False
+        return True
+
+    return [value for value in _PLAIN_VALUES if taken(value)]
+
+
+@st.composite
+def _well_formed_argv(draw):
+    """A subcommand and its own flags in any order, repeats allowed, each with a value
+    that is ``-`` or free of a leading ``-``: the argv that the flag table reads unless
+    a value fails its flag's type or choices or a required flag is missing.  Three
+    values in four are ones the flag takes, and solve and audit mostly get both risks,
+    so most draws are read by the table."""
+    command = draw(st.sampled_from(_COMMANDS))
+    flags = draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=6))
+    if command in ("solve", "audit") and draw(st.integers(0, 3)):
+        flags = draw(st.permutations([*flags, "--beta-w", "--beta-b"]))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag != "--no-refine":
+            values = _taken_values(command, flag) if draw(st.integers(0, 3)) else _PLAIN_VALUES
+            argv.append(draw(st.sampled_from(values)))
+    return argv
+
+
+@settings(max_examples=250, deadline=None, database=None)
 @given(argv=st.one_of(
     st.builds(lambda name, rest: [name, *rest],
               st.sampled_from(_COMMANDS + ["nosuch", "", "sol", "Solve", "solve "]),
               st.lists(_TOKEN, max_size=8)),
     st.lists(_TOKEN, max_size=4),
+    _well_formed_argv(),
 ))
 @example(argv=[])
 @example(argv=["-h"])
@@ -1131,8 +1204,49 @@ _FULL_PARSER, _ROUTED_PARSER = cli.build_parser(), cli.build_parser()
 @example(argv=["sweep", "--", "--out-dir", "2"])
 @example(argv=["audit", "--beta-w=-1", "--beta-b", "-0.0", "--no-refine", "--grid-points", "x"])
 def test_subcommand_argv_parses_as_the_full_parser_would(argv):
-    routed = _parse_outcome(lambda a: cli._parse_args(_ROUTED_PARSER, a), argv)
-    assert routed == _parse_outcome(_FULL_PARSER.parse_args, argv)
+    table = _parse_outcome(lambda a: cli._parse_args(_TABLE_PARSER, a), argv)
+    assert table == _parse_outcome(_FULL_PARSER.parse_args, argv)
+
+
+def _benchmark_shaped(command, fmt):
+    """A request as the benchmark sends it: every common flag given, then the command's."""
+    argv = [command, "--input", "in.csv", "--output", "out", "--gamma", "0.8", "--format", fmt,
+            "--country", "XA"]
+    grid = ["--beta-min", "0.05", "--beta-max", "0.95", "--beta-step", "0.01"]
+    return argv + {
+        "calibrate": [],
+        "solve": ["--beta-w", "0.0", "--beta-b", "0.7", "--v-over-l", "0.2,0.4,0.6"],
+        "audit": ["--beta-w", "0.3", "--beta-b", "0.7", "--v-over-l", "0.25"],
+        "frontier": ["--beta-w", "0.0,0.5", "--v-over-l", "0.3", *grid],
+        "sweep": ["--v-over-l", "0.2,0.4,0.6", *grid],
+        "summarize": ["--v-over-l", "0.2,0.4,0.6", *grid, "--threshold", "0.66"],
+    }[command]
+
+
+def test_only_help_and_malformed_argv_reach_argparse(monkeypatch):
+    from test_golden import CASES
+
+    calls = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *args: calls.append(args) or parse_args(self, *args))
+    parser = cli.build_parser()
+
+    def argparse_calls(argv):
+        calls.clear()
+        _parse_outcome(lambda a: cli._parse_args(parser, a), argv)
+        return len(calls)
+
+    base = ["solve", "--beta-w", "0.1", "--beta-b", "0.3"]
+    well_formed = [base] + [[command, "--input", "in.csv", "--country", "XA", *rest]
+                            for command, *rest in CASES.values()] + [
+        _benchmark_shaped(command, fmt) for command in _COMMANDS for fmt in ("csv", "json")]
+    assert [argparse_calls(argv) for argv in well_formed] == [0] * len(well_formed)
+    # each one malformed in one way only
+    malformed = [["--help"], [*base, "--help"], [*base, "--gamma=0.5"], [*base, "--gam", "0.5"],
+                 ["solve", "--beta-w", "-0.1", "--beta-b", "0.3"], [*base, "--country"],
+                 base[:3]]
+    assert [argparse_calls(argv) for argv in malformed] == [1] * len(malformed)
 
 
 _FIELD = st.one_of(

@@ -315,6 +315,12 @@ class TestSolveArrays:
 # an uncalibrated profile whose root overflows to inf: AllBlue, with no warning on either path
 @example(labor=(2.0, 1.0), alpha=(1.0, 1e-300), gamma=1.0,
          beta_white=[0.0], beta_blue=[1e-10], coverage=0.5 / 3.0)
+# a total that rounds to L_b: the plain split V * L_b / L is 0.09000000000000001, past V
+@example(labor=(5e-324, 3.0), alpha=(1.0, 1.0), gamma=1.0,
+         beta_white=[0.0], beta_blue=[0.0], coverage=0.03)
+# a stock of -0.0: the kernel's clamp writes +0.0 over the degenerate split
+@example(labor=(60.0, 40.0), alpha=(1.0, 1.5), gamma=1.0,
+         beta_white=[0.0], beta_blue=[0.0], coverage=-0.0)
 def test_solve_arrays_matches_solve_on_random_profiles(
     labor, alpha, gamma, beta_white, beta_blue, coverage
 ):
@@ -330,6 +336,7 @@ def test_solve_arrays_matches_solve_on_random_profiles(
         expected = solve(profile, Scenario(beta_w, beta_b, vaccines))
         got, want = float(v_star[i, j]), expected.v_blue_star
         assert got == want or (math.isnan(got) and math.isnan(want))
+        assert 0.0 <= want <= vaccines or math.isnan(want)
         assert math.copysign(1.0, got) == math.copysign(1.0, want)
         assert CLAMPS[code[i, j]] is expected.clamp
     # The same cells by index pairs, last first: the same bits, and before the
@@ -399,15 +406,33 @@ def test_stock_solver_shares_its_first_stage_across_stocks(
     assert [a.tobytes() for a in solved[-1][1:]] == [a.tobytes() for a in solved[0][1:]]
 
 
+@settings(max_examples=200, deadline=None)
+@given(labor=st.tuples(SIZE, SIZE), coverage=st.floats(0.0, 1.0, exclude_max=True),
+       shift=st.integers(0, 1100))
+# V * L_b rounds as a subnormal before the division: the plain expression is off by an ulp
+@example(labor=(7.0, 0.6), coverage=0.25, shift=1020)
+# V scaled by L's exponent, not its own, goes subnormal and loses bits
+@example(labor=(0.4, 0.6), coverage=0.5, shift=1046)
+def test_degenerate_split_of_a_smaller_stock_scales_exactly(labor, coverage, shift):
+    # The split V * L_b / L at V * 2**-shift is the split at V times 2**-shift, rounded
+    # once: exact while it stays normal, and correctly rounded where it goes subnormal.
+    profile = EconomyProfile(*labor, 1.0, 1.0, 1.0)
+    vaccines = coverage * profile.total_labor
+    small = math.ldexp(vaccines, -shift)
+    assume(vaccines >= 2.0 ** -1022 and math.ldexp(small, shift) == vaccines)  # exact scaling
+    split = solve(profile, Scenario(0.0, 0.0, vaccines)).v_blue_star
+    assert solve(profile, Scenario(0.0, 0.0, small)).v_blue_star == math.ldexp(split, -shift)
+
+
 def test_stock_solver_overflowing_split_matches_solve_bit_for_bit():
-    # Above calibrate's 1e154 bound the degenerate split V * L_b / L overflows to inf,
-    # past V: the kernel's clamp takes it to V, and its second patch must restore it.
+    # Above calibrate's 1e154 bound the plain split V * L_b / L would overflow to inf,
+    # past V; scaled by powers of two it is the finite 0.6 V, which the clamp keeps.
     profile = EconomyProfile(2e154, 3e154, 1.0, 2e154 / 3e154, 1.0)
     result = solve(profile, Scenario(0.0, 0.0, 1e154))
     v_star, code = stock_solver(profile, 0.0, 0.0)[1](1e154)
     assert (v_star.tobytes(), CLAMPS[code.item()]) == (
         np.float64(result.v_blue_star).tobytes(), result.clamp)
-    assert (result.v_blue_star, result.clamp) == (math.inf, Clamp.DEGENERATE)
+    assert (result.v_blue_star, result.clamp) == (6e153, Clamp.DEGENERATE)
 
 
 # Risks whose terms are zero, signed zero or tiny: 5e-324 * alpha_b is 0 when alpha_b < 0.5.
