@@ -30,6 +30,8 @@ CSV_HEADER = ("country", "employment", "telework_share")
 
 DEFAULT_GAMMA = 0.8
 
+MAX_DATASET_BYTES = 16 * 2**20  # load_countries refuses a longer file without reading it all
+
 
 class DataFormatError(ValueError):
     """A country dataset does not conform to the documented CSV schema."""
@@ -64,18 +66,27 @@ def _parse_float(raw: str, row_number: int, field: str) -> float:
         raise DataFormatError(f"row {row_number}: field {field!r} is not a number: {raw!r}") from None
 
 
+def _rows(reader):
+    """The rows of a ``csv.reader``, its errors (a field over the csv field limit) data errors."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataFormatError(f"row {reader.line_num}: {exc}") from None
+
+
 def parse_countries(source: Union[IO[str], Iterable[str]]) -> list[CountryRecord]:
     """Parse the country CSV into validated records, preserving row order.
 
     The first non-blank row must be the ``country,employment,telework_share``
     header; a completely empty stream yields an empty list.  Raises
     DataFormatError naming the offending row and field for malformed rows,
-    out-of-range values and duplicate country codes.
+    fields over the csv field limit, out-of-range values and duplicate
+    country codes.
     """
     records: list[CountryRecord] = []
     seen: set[str] = set()
     header_checked = False
-    for row_number, row in enumerate(csv.reader(source), start=1):
+    for row_number, row in enumerate(_rows(csv.reader(source)), start=1):
         if not row:
             continue
         if not header_checked:
@@ -110,10 +121,16 @@ def parse_countries(source: Union[IO[str], Iterable[str]]) -> list[CountryRecord
 
 
 def load_countries(path: Union[str, Path]) -> list[CountryRecord]:
-    """Read and parse a country CSV file, which must be UTF-8: its bytes are read and
-    decoded whole, so invalid UTF-8 anywhere is reported before any row."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+    """Read and parse a country CSV file of at most ``MAX_DATASET_BYTES``, which must be
+    UTF-8: its bytes are read and decoded whole, so invalid UTF-8 anywhere is reported
+    before any row."""
+    with open(path, "rb") as handle:  # read(n) allocates n bytes: 64 KiB first, then the rest
+        data = handle.read(1 << 16)
+        if len(data) == 1 << 16:
+            data += handle.read(MAX_DATASET_BYTES + 1 - len(data))
+    if len(data) > MAX_DATASET_BYTES:
+        raise DataFormatError(f"dataset {path} is longer than the largest accepted, "
+                              f"{MAX_DATASET_BYTES} bytes")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

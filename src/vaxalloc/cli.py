@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Each subcommand is one ``_SPECS`` entry: its CSV columns, its row source and its JSON
-metadata keys in order.  ``_run`` calibrates the countries once, builds the metadata and
-writes table rows or ``(country, SweepGrid)`` lattices in the layout that ``_layout`` gives,
-the one place each format is decided: long-format CSV under a header, or the bytes of one
+Each subcommand is one ``_COMMANDS`` entry, its help and its flags, from which
+``build_parser`` builds its parser and the flag table that reads well-formed argv, and one
+``_SPECS`` entry: its CSV columns, its row source and its JSON metadata keys in order.
+``_run`` calibrates the countries once, builds the metadata and writes table rows or
+``(country, SweepGrid)`` lattices in the layout that ``_layout`` gives, the one place each
+format is decided: long-format CSV under a header, or the bytes of one
 ``json.dumps(document, indent=2)`` with provenance metadata.
 
 Exit codes: 0 success, 1 usage or input-validation failure, 2 data error,
@@ -73,7 +75,7 @@ def _terminate(signum, frame):
 
 
 class _Parser(argparse.ArgumentParser):
-    # set by build_parser: subcommand name -> its option strings, each to its action
+    # set by build_parser: subcommand -> each _COMMANDS option string to its action
     flags: dict[str, dict[str, argparse.Action]]
 
     def error(self, message):  # keep argparse from calling sys.exit(2)
@@ -95,88 +97,68 @@ def _path(text: str) -> str:
     return text
 
 
+# option string -> add_argument keywords: the flags all subcommands share, the grid flags
+_COMMON = {
+    "--input": dict(type=_path, metavar="PATH", help=f"country CSV (default: "
+                    f"${DATASET_ENV_VAR} or the built-in synthetic dataset)"),
+    "--gamma": dict(type=float, default=DEFAULT_GAMMA,
+                    help="home-office productivity retention (default %(default)s)"),
+    "--country": dict(metavar="CODE", help="restrict to one country code"),
+    "--format": dict(choices=("csv", "json"), default="csv",
+                     help="output format (default %(default)s)"),
+    "--output": dict(type=_path, metavar="PATH", default="-",
+                     help="output file, '-' for standard output (default)"),
+}
+_GRID = {"--beta-min": dict(type=float, default=0.05), "--beta-max": dict(type=float, default=0.95),
+         "--beta-step": dict(type=float, default=0.05)}
+_V_OVER_L = {"--v-over-l": dict(type=_float_list, default=DEFAULT_V_OVER_L)}
+
+# subcommand -> its help and its flags in help order, from which build_parser builds it
+_COMMANDS = {
+    "calibrate": ("emit calibrated economy profiles", _COMMON),
+    "solve": ("solve single scenarios", {
+        **_COMMON,
+        "--beta-w": dict(type=float, required=True, help="white-collar infection risk"),
+        "--beta-b": dict(type=float, required=True, help="blue-collar infection risk"),
+        "--v-over-l": dict(type=_float_list, default=DEFAULT_V_OVER_L, help="comma-separated "
+                           "vaccine coverage fractions (default 0.2,0.4,0.6)"),
+    }),
+    "frontier": ("dose share as a function of blue-collar risk", {
+        **_COMMON, **_GRID,
+        "--beta-w": dict(type=_float_list, default=DEFAULT_BETA_WHITE,
+                         help="comma-separated white-collar risks (default 0.05,0.25)"),
+        **_V_OVER_L,
+    }),
+    "sweep": ("solve the full (beta_w, beta_b) matrix", {
+        **_COMMON, **_GRID, **_V_OVER_L,
+        "--out-dir": dict(type=_path, metavar="DIR",
+                          help="write one file per (country, v_over_l) here instead of --output"),
+    }),
+    "summarize": ("share of riskier-blue-collar cells above a dose-share threshold", {
+        **_COMMON, **_GRID, **_V_OVER_L,
+        "--threshold": dict(type=float, default=DEFAULT_THRESHOLD,
+                            help="dose-share cutoff (default %(default)s)"),
+    }),
+    "audit": ("compare the closed form against the brute-force oracle", {
+        **_COMMON,
+        "--beta-w": dict(type=float, required=True),
+        "--beta-b": dict(type=float, required=True),
+        **_V_OVER_L,
+        "--grid-points": dict(type=int, default=100_001),
+        "--no-refine": dict(action="store_true", help="skip the golden-section refinement pass"),
+    }),
+}
+
+
 def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="vaxalloc",
-        description="Unemployment-minimizing vaccine allocation between "
-        "on-site and remote-capable workers.",
-    )
-    common = _Parser(add_help=False)
-    shared = [
-        common.add_argument(
-            "--input",
-            type=_path,
-            metavar="PATH",
-            help=f"country CSV (default: ${DATASET_ENV_VAR} or the built-in synthetic dataset)",
-        ),
-        common.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
-                            help="home-office productivity retention (default %(default)s)"),
-        common.add_argument("--country", metavar="CODE", help="restrict to one country code"),
-        common.add_argument("--format", choices=("csv", "json"), default="csv",
-                            help="output format (default %(default)s)"),
-        common.add_argument("--output", type=_path, metavar="PATH", default="-",
-                            help="output file, '-' for standard output (default)"),
-    ]
-
-    grid = _Parser(add_help=False)
-    with_grid = shared + [
-        grid.add_argument("--beta-min", type=float, default=0.05),
-        grid.add_argument("--beta-max", type=float, default=0.95),
-        grid.add_argument("--beta-step", type=float, default=0.05),
-    ]
-
+    parser = _Parser(prog="vaxalloc", description="Unemployment-minimizing vaccine allocation "
+                     "between on-site and remote-capable workers.")
     sub = parser.add_subparsers(dest="command", required=True)
-    actions = {}  # subcommand -> its actions in parser order, after -h
-
-    sub.add_parser("calibrate", parents=[common], help="emit calibrated economy profiles")
-    actions["calibrate"] = shared
-
-    p = sub.add_parser("solve", parents=[common], help="solve single scenarios")
-    actions["solve"] = shared + [
-        p.add_argument("--beta-w", type=float, required=True, help="white-collar infection risk"),
-        p.add_argument("--beta-b", type=float, required=True, help="blue-collar infection risk"),
-        p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L,
-                       help="comma-separated vaccine coverage fractions (default 0.2,0.4,0.6)"),
-    ]
-
-    p = sub.add_parser("frontier", parents=[common, grid],
-                       help="dose share as a function of blue-collar risk")
-    actions["frontier"] = with_grid + [
-        p.add_argument("--beta-w", type=_float_list, default=DEFAULT_BETA_WHITE,
-                       help="comma-separated white-collar risks (default 0.05,0.25)"),
-        p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L),
-    ]
-
-    p = sub.add_parser("sweep", parents=[common, grid],
-                       help="solve the full (beta_w, beta_b) matrix")
-    actions["sweep"] = with_grid + [
-        p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L),
-        p.add_argument("--out-dir", type=_path, metavar="DIR",
-                       help="write one file per (country, v_over_l) here instead of --output"),
-    ]
-
-    p = sub.add_parser("summarize", parents=[common, grid],
-                       help="share of riskier-blue-collar cells above a dose-share threshold")
-    actions["summarize"] = with_grid + [
-        p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L),
-        p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                       help="dose-share cutoff (default %(default)s)"),
-    ]
-
-    p = sub.add_parser("audit", parents=[common],
-                       help="compare the closed form against the brute-force oracle")
-    actions["audit"] = shared + [
-        p.add_argument("--beta-w", type=float, required=True),
-        p.add_argument("--beta-b", type=float, required=True),
-        p.add_argument("--v-over-l", type=_float_list, default=DEFAULT_V_OVER_L),
-        p.add_argument("--grid-points", type=int, default=100_001),
-        p.add_argument("--no-refine", action="store_true",
-                       help="skip the golden-section refinement pass"),
-    ]
-
-    parser.flags = {command: {option: action for action in command_actions
-                              for option in action.option_strings}
-                    for command, command_actions in actions.items()}
+    parser.flags = {}
+    for name, (summary, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        parser.flags[name] = {option: command.add_argument(option, **keywords)
+                              for option, keywords in flags.items()}
     return parser
 
 
@@ -186,7 +168,7 @@ def _parse_args(parser: _Parser, argv: Sequence[str]) -> argparse.Namespace:
     exactly (``--no-refine`` takes no value), each value ``-`` or not starting with ``-``
     and passing the flag's type and choices, every required flag given.  The namespace is
     built as argparse builds it: ``command``, then each action in parser order with its
-    last value or its default, a string default passed through its type.  Any other argv
+    last value or its default (no string default changes under its type).  Any other argv
     (help, ``--flag=value``, an abbreviation, a missing or bad value) goes to ``parser``,
     so help and usage errors stay its own.
     """
@@ -218,17 +200,9 @@ def _flag_values(table: dict[str, argparse.Action], args: Sequence[str]) -> Opti
         if action.choices is not None and value not in action.choices:
             return None
         seen[action.dest] = value
-    values = {}
-    for action in table.values():
-        if action.dest in seen:
-            values[action.dest] = seen[action.dest]
-        elif action.required:
-            return None
-        elif isinstance(action.default, str) and action.type is not None:
-            values[action.dest] = action.type(action.default)
-        else:
-            values[action.dest] = action.default
-    return values
+    if any(action.required and action.dest not in seen for action in table.values()):
+        return None
+    return {action.dest: seen.get(action.dest, action.default) for action in table.values()}
 
 
 def _select_records(args):

@@ -36,7 +36,7 @@ from vaxalloc import (
     sweep_matrix,
     threshold_share,
 )
-from vaxalloc import cli, sweep
+from vaxalloc import calibration, cli, sweep
 from vaxalloc.cli import (EXIT_DATA, EXIT_INTERRUPT, EXIT_OK, EXIT_PIPE, EXIT_TERM,
                           EXIT_USAGE, main)
 from vaxalloc.model import CLAMPS
@@ -318,6 +318,8 @@ def test_data_errors_exit_two(tmp_path, capsys):
     (b"X\xe9,1000,0.4", "dataset {dataset} is not UTF-8 text"),
     (b"XA,5e-324,0.3", "country XA: a labor pool rounds to zero"),
     (b"XA,5e-324,0.9999999999999999", "country XA: a labor pool rounds to zero"),
+    pytest.param(b"X" * 200_000 + b",1000,0.4", "row 2: field larger than field limit (131072)",
+                 id="field-over-the-csv-limit"),
 ])
 def test_dataset_faults_exit_two_with_one_line(tmp_path, capsys, row, message):
     dataset = tmp_path / "bad.csv"
@@ -328,10 +330,25 @@ def test_dataset_faults_exit_two_with_one_line(tmp_path, capsys, row, message):
         assert out == ""
         assert err.startswith("vaxalloc: data error: ") and err.count("\n") == 1
         assert message.format(dataset=dataset) in err
-    if b"\xe9" not in row:  # a readable record: a bad --gamma is still a usage error
+    if row.startswith(b"XA,"):  # a readable record: a bad --gamma is still a usage error
         code, _, err = run_cli(["calibrate", "--input", str(dataset), "--gamma", "1.5"], capsys)
         assert code == EXIT_USAGE
         assert err.startswith("vaxalloc: error: gamma")
+
+
+@pytest.mark.parametrize("limit", [64, 100_000])  # below and above the first 64 KiB read
+def test_a_dataset_over_the_byte_limit_exits_two_with_one_line(tmp_path, capsys, monkeypatch,
+                                                              limit):
+    monkeypatch.setattr(calibration, "MAX_DATASET_BYTES", limit)
+    dataset = tmp_path / "countries.csv"
+    records = b"country,employment,telework_share\nXA,1000,0.4\n"
+    dataset.write_bytes(records.ljust(limit, b"\n"))  # blank lines are skipped
+    code, out, err = run_cli(["calibrate", "--input", str(dataset)], capsys)
+    assert (code, err) == (EXIT_OK, "") and out.count("\n") == 2
+    dataset.write_bytes(records.ljust(limit + 1, b"\n"))
+    code, out, err = run_cli(["calibrate", "--input", str(dataset)], capsys)
+    assert (code, out, err) == (EXIT_DATA, "", f"vaxalloc: data error: dataset {dataset} is "
+                                f"longer than the largest accepted, {limit} bytes\n")
 
 
 def test_byte_order_mark_exits_two_naming_it(tmp_path, capsys):
@@ -508,7 +525,9 @@ def test_employment_above_1e154_exits_2_before_any_output(command, tmp_path, cap
 
 @pytest.mark.parametrize("command", [["solve", "--beta-w", "0", "--beta-b", "0"],
                                      ["sweep", "--beta-min", "0", "--beta-max", "0.5",
-                                      "--beta-step", "0.5"]],
+                                      "--beta-step", "0.5"],
+                                     ["frontier", "--beta-w", "0", "--beta-min", "0",
+                                      "--beta-max", "0.5", "--beta-step", "0.5"]],
                          ids=lambda command: command[0])
 def test_tiny_employment_gets_the_labor_split_as_its_degenerate_share(command, tmp_path,
                                                                       capsys):
@@ -1289,6 +1308,7 @@ _EDGE_DATASET = st.lists(st.tuples(
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(data=st.one_of(_DATASET_BYTES, _EDGE_DATASET))
+@example(data=b"\x00" * 300_000)  # one field over the csv field limit
 def test_any_dataset_bytes_calibrate_or_exit_two_with_one_line(data, tmp_path_factory):
     dataset = tmp_path_factory.mktemp("fuzz") / "countries.csv"
     dataset.write_bytes(data)

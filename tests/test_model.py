@@ -9,6 +9,7 @@ from conftest import (RISK, SIZE, crossing_point, draw_profile, draw_scenario, l
                       partials, shifted_root)
 from vaxalloc import (
     Clamp,
+    CountryRecord,
     EconomyProfile,
     GridSpec,
     ModelInputError,
@@ -422,6 +423,42 @@ def test_degenerate_split_of_a_smaller_stock_scales_exactly(labor, coverage, shi
     assume(vaccines >= 2.0 ** -1022 and math.ldexp(small, shift) == vaccines)  # exact scaling
     split = solve(profile, Scenario(0.0, 0.0, vaccines)).v_blue_star
     assert solve(profile, Scenario(0.0, 0.0, small)).v_blue_star == math.ldexp(split, -shift)
+
+
+# Risks with no subnormal term: 0, 1 or at least 2**-30.
+_NORMAL_RISK = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(2.0 ** -30, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(employment=st.floats(0.0, 150.0).map(lambda exponent: 10.0 ** exponent),
+       share=st.one_of(st.sampled_from([1e-6, 1 - 1e-6]), st.floats(1e-6, 1 - 1e-6)),
+       gamma=st.one_of(st.just(1.0), st.floats(2.0 ** -30, 1.0)),
+       beta_white=st.lists(_NORMAL_RISK, min_size=1, max_size=3),
+       beta_blue=st.lists(_NORMAL_RISK, min_size=1, max_size=3),
+       coverage=st.one_of(st.just(0.0), st.floats(2.0 ** -30, 1.0, exclude_max=True)),
+       shift=st.integers(-60, 60))
+def test_an_economy_scaled_by_a_power_of_two_scales_every_result_exactly(
+    employment, share, gamma, beta_white, beta_blue, coverage, shift
+):
+    # Labor and stock times 2**shift, alphas and gamma kept: the closed form is linear in
+    # labor and stock, and a power of two changes no rounding while every value stays normal.
+    profile = calibrate(CountryRecord("XA", employment, share), gamma)
+    scaled = EconomyProfile(math.ldexp(profile.labor_white, shift),
+                            math.ldexp(profile.labor_blue, shift),
+                            profile.alpha_white, profile.alpha_blue, gamma)
+    vaccines = coverage * profile.total_labor
+    for beta_w, beta_b in itertools.product(beta_white, beta_blue):
+        result = solve(profile, Scenario(beta_w, beta_b, vaccines))
+        big = solve(scaled, Scenario(beta_w, beta_b, math.ldexp(vaccines, shift)))
+        assert big.clamp is result.clamp
+        for field in type(result).__match_args__:
+            if field != "clamp":  # repr tells signed zeros and NaNs apart
+                assert repr(getattr(big, field)) == repr(math.ldexp(getattr(result, field), shift))
+    white, blue = np.array(beta_white)[:, None], np.array(beta_blue)[None, :]
+    v_star, code = stock_solver(profile, white, blue)[1](vaccines)
+    big_star, big_code = stock_solver(scaled, white, blue)[1](math.ldexp(vaccines, shift))
+    assert big_star.tobytes() == np.ldexp(v_star, shift).tobytes()
+    assert big_code.tobytes() == code.tobytes()
 
 
 def test_stock_solver_overflowing_split_matches_solve_bit_for_bit():
