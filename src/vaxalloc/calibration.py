@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from pathlib import Path
 from typing import IO, Iterable, Union
 
@@ -67,11 +68,14 @@ def _parse_float(raw: str, row_number: int, field: str) -> float:
 
 
 def _rows(reader):
-    """The rows of a ``csv.reader``, its errors (a field over the csv field limit) data errors."""
+    """The rows of a ``csv.reader``, each with its record number from 1, and its errors (a
+    field over the csv field limit) data errors naming the record they are in."""
+    row_number = 0
     try:
-        yield from reader
+        for row_number, row in enumerate(reader, start=1):
+            yield row_number, row
     except csv.Error as exc:
-        raise DataFormatError(f"row {reader.line_num}: {exc}") from None
+        raise DataFormatError(f"row {row_number + 1}: {exc}") from None
 
 
 def parse_countries(source: Union[IO[str], Iterable[str]]) -> list[CountryRecord]:
@@ -86,7 +90,7 @@ def parse_countries(source: Union[IO[str], Iterable[str]]) -> list[CountryRecord
     records: list[CountryRecord] = []
     seen: set[str] = set()
     header_checked = False
-    for row_number, row in enumerate(_rows(csv.reader(source)), start=1):
+    for row_number, row in _rows(csv.reader(source)):
         if not row:
             continue
         if not header_checked:
@@ -124,10 +128,15 @@ def load_countries(path: Union[str, Path]) -> list[CountryRecord]:
     """Read and parse a country CSV file of at most ``MAX_DATASET_BYTES``, which must be
     UTF-8: its bytes are read and decoded whole, so invalid UTF-8 anywhere is reported
     before any row."""
-    with open(path, "rb") as handle:  # read(n) allocates n bytes: 64 KiB first, then the rest
-        data = handle.read(1 << 16)
-        if len(data) == 1 << 16:
-            data += handle.read(MAX_DATASET_BYTES + 1 - len(data))
+    descriptor = os.open(path, os.O_RDONLY)
+    try:  # os.read(n) allocates n bytes: 64 KiB a read, until EOF or a byte past the limit
+        data = bytearray()
+        while chunk := os.read(descriptor, min(1 << 16, MAX_DATASET_BYTES + 1 - len(data))):
+            data += chunk
+    except OSError as exc:  # a directory opens and fails here: name it, as open does
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(descriptor)
     if len(data) > MAX_DATASET_BYTES:
         raise DataFormatError(f"dataset {path} is longer than the largest accepted, "
                               f"{MAX_DATASET_BYTES} bytes")

@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Each subcommand is one ``_COMMANDS`` entry, its help and its flags, from which
-``build_parser`` builds its parser and the flag table that reads well-formed argv, and one
-``_SPECS`` entry: its CSV columns, its row source and its JSON metadata keys in order.
-``_run`` calibrates the countries once, builds the metadata and writes table rows or
-``(country, SweepGrid)`` lattices in the layout that ``_layout`` gives, the one place each
-format is decided: long-format CSV under a header, or the bytes of one
-``json.dumps(document, indent=2)`` with provenance metadata.
+Each subcommand is one ``_COMMANDS`` entry, its help and its flags, whose ``add_argument``
+keywords parse well-formed argv (argparse is imported, and ``build_parser`` builds from the
+table, only for help and malformed argv), and one ``_SPECS`` entry: its CSV columns, its row
+source and its JSON metadata keys in order.  ``_run`` calibrates the countries once, builds
+the metadata and writes table rows or ``(country, SweepGrid)`` lattices in the layout that
+``_layout`` gives, the one place each format is decided: long-format CSV under a header, or
+the bytes of one ``json.dumps(document, indent=2)`` with provenance metadata.
 
 Exit codes: 0 success, 1 usage or input-validation failure, 2 data error,
 141 standard output closed early (as for a tool killed by SIGPIPE): what ``main``
@@ -16,7 +16,6 @@ command and ``python -m vaxalloc.cli``, also exits 130 on Ctrl-C and 143 on SIGT
 
 from __future__ import annotations
 
-import argparse
 import errno
 import io
 import os
@@ -25,6 +24,7 @@ import stat
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .calibration import (
@@ -36,7 +36,9 @@ from .calibration import (
 )
 from .model import CLAMPS, Clamp, ModelInputError, Scenario, degenerate_cells, solve
 
-if TYPE_CHECKING:  # the commands that use oracle, sweep or json import them
+if TYPE_CHECKING:  # imported where used: oracle, sweep, json by commands, argparse by help
+    import argparse
+
     from .sweep import GridSpec
 
 DATASET_ENV_VAR = "VAXALLOC_DATASET"
@@ -74,27 +76,21 @@ def _terminate(signum, frame):
     raise _Terminated
 
 
-class _Parser(argparse.ArgumentParser):
-    # set by build_parser: subcommand -> each _COMMANDS option string to its action
-    flags: dict[str, dict[str, argparse.Action]]
-
-    def error(self, message):  # keep argparse from calling sys.exit(2)
-        raise UsageError(message)
-
-
 def _float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
+        import argparse  # the value goes to the full parser, which reports this
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
 def _path(text: str) -> str:
-    if not text:  # open("") fails, and --input "" would read the built-in dataset
-        raise argparse.ArgumentTypeError("path is empty")
-    if "\x00" in text:  # no system call accepts it; open would raise ValueError
-        raise argparse.ArgumentTypeError(f"path contains a NUL byte: {text!r}")
-    return text
+    # open("") fails and --input "" would read the built-in dataset; no system call takes NUL
+    if text and "\x00" not in text:
+        return text
+    import argparse  # the value goes to the full parser, which reports this
+    raise argparse.ArgumentTypeError(f"path contains a NUL byte: {text!r}" if text
+                                     else "path is empty")
 
 
 # option string -> add_argument keywords: the flags all subcommands share, the grid flags
@@ -113,7 +109,7 @@ _GRID = {"--beta-min": dict(type=float, default=0.05), "--beta-max": dict(type=f
          "--beta-step": dict(type=float, default=0.05)}
 _V_OVER_L = {"--v-over-l": dict(type=_float_list, default=DEFAULT_V_OVER_L)}
 
-# subcommand -> its help and its flags in help order, from which build_parser builds it
+# subcommand -> its help and its flags in help order, read by _flag_values and build_parser
 _COMMANDS = {
     "calibrate": ("emit calibrated economy profiles", _COMMON),
     "solve": ("solve single scenarios", {
@@ -148,61 +144,71 @@ _COMMANDS = {
         "--no-refine": dict(action="store_true", help="skip the golden-section refinement pass"),
     }),
 }
+# Read from the table as argparse reads it: each option string's dest, and each subcommand's
+# namespace before its flags are read, a store_true flag False and a required one _REQUIRED.
+_REQUIRED = object()
+_DEST = {flag: flag[2:].replace("-", "_") for _, flags in _COMMANDS.values() for flag in flags}
+_DEFAULTS = {name: {_DEST[flag]: _REQUIRED if keywords.get("required") else keywords.get(
+    "default", False if "action" in keywords else None) for flag, keywords in flags.items()}
+    for name, (_, flags) in _COMMANDS.items()}
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="vaxalloc", description="Unemployment-minimizing vaccine allocation "
-                     "between on-site and remote-capable workers.")
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, for help and malformed argv, its usage errors raising UsageError."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # keep argparse from calling sys.exit(2)
+            raise UsageError(message)
+
+    parser = Parser(prog="vaxalloc", description="Unemployment-minimizing vaccine allocation "
+                    "between on-site and remote-capable workers.")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.flags = {}
     for name, (summary, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=summary)
-        parser.flags[name] = {option: command.add_argument(option, **keywords)
-                              for option, keywords in flags.items()}
+        for option, keywords in flags.items():
+            command.add_argument(option, **keywords)
     return parser
 
 
-def _parse_args(parser: _Parser, argv: Sequence[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``, read from the subcommand's flag table if argv is well
-    formed: the subcommand, then ``flag value`` pairs, each flag one of its option strings
-    exactly (``--no-refine`` takes no value), each value ``-`` or not starting with ``-``
-    and passing the flag's type and choices, every required flag given.  The namespace is
-    built as argparse builds it: ``command``, then each action in parser order with its
-    last value or its default (no string default changes under its type).  Any other argv
-    (help, ``--flag=value``, an abbreviation, a missing or bad value) goes to ``parser``,
-    so help and usage errors stay its own.
-    """
-    table = parser.flags.get(argv[0]) if argv else None
-    values = None if table is None else _flag_values(table, argv[1:])
-    if values is None:
-        return parser.parse_args(argv)
-    return argparse.Namespace(command=argv[0], **values)
+def _parse_args(argv: Sequence[str]):
+    """``build_parser().parse_args(argv)``, read from the subcommand's ``_COMMANDS`` flags if
+    argv is well formed: the subcommand, then ``flag value`` pairs, each flag one of its option
+    strings exactly (``--no-refine`` takes no value), each value ``-`` or not starting with
+    ``-`` and passing the flag's type and choices, every required flag given.  Other argv (help,
+    ``--flag=value``, an abbreviation, a missing or bad value) goes to the parser, built on first
+    need and kept in ``_parser``, so help and usage errors stay argparse's own."""
+    global _parser
+    values = _flag_values(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    if values is not None:
+        return SimpleNamespace(command=argv[0], **values)
+    if _parser is None:
+        _parser = build_parser()
+    return _parser.parse_args(argv)
 
 
-def _flag_values(table: dict[str, argparse.Action], args: Sequence[str]) -> Optional[dict]:
-    """Each action's dest and value, in parser order, or None if ``args`` is not well formed."""
-    seen = {}
+def _flag_values(command: str, args: Sequence[str]) -> Optional[dict]:
+    """As a dict, the namespace argparse gives ``command`` and its ``args``; None if malformed."""
+    flags, values = _COMMANDS[command][1], _DEFAULTS[command].copy()
     tokens = iter(args)
     for flag in tokens:
-        action = table.get(flag)
-        if action is None:
+        keywords = flags.get(flag)
+        if keywords is None:
             return None
-        if action.nargs == 0:
-            seen[action.dest] = action.const
+        if "action" in keywords:  # store_true, the table's one action, takes no value
+            values[_DEST[flag]] = True
             continue
         text = next(tokens, None)
         if text is None or (text.startswith("-") and text != "-"):
             return None
         try:
-            value = text if action.type is None else action.type(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            value = keywords["type"](text) if "type" in keywords else text
+        except Exception:  # whatever a type raises, the full parser reports or raises
             return None
-        if action.choices is not None and value not in action.choices:
+        if "choices" in keywords and value not in keywords["choices"]:
             return None
-        seen[action.dest] = value
-    if any(action.required and action.dest not in seen for action in table.values()):
-        return None
-    return {action.dest: seen.get(action.dest, action.default) for action in table.values()}
+        values[_DEST[flag]] = value
+    return None if _REQUIRED in values.values() else values
 
 
 def _select_records(args):
@@ -226,20 +232,9 @@ def _select_records(args):
     return records, {"dataset": str(path), "dataset_origin": origin}
 
 
-class _Utf8File(io.BufferedWriter):
-    """``path`` opened for writing as a buffered binary file whose ``write`` takes text and
-    writes its UTF-8 bytes."""
-
-    def __init__(self, path) -> None:
-        super().__init__(io.FileIO(os.fspath(path), "w"))  # a str, so errors name a str
-
-    def write(self, text: str) -> int:
-        return super().write(text.encode())
-
-
 @contextmanager
-def _opened(path):
-    """Text-writing handle on ``path``, or stdout for '-'.
+def _opened(path: str):
+    """A ``write`` that takes text, on the file ``path`` or on stdout for '-'.
 
     A new or regular file is written under a temporary sibling name and
     renamed into place once complete, so a failed run leaves the target
@@ -247,32 +242,31 @@ def _opened(path):
     """
     if path == "-":
         try:
-            yield sys.stdout
+            yield sys.stdout.write
             sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         except BrokenPipeError:
             raise _StdoutClosed from None
         return
-    target = Path(path)
     try:
-        in_place = not stat.S_ISREG(os.lstat(target).st_mode)  # a symlink, device or pipe
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)  # a symlink, device or pipe
     except OSError as exc:
         if exc.errno not in _MISSING:
             raise
         in_place = False
-    if in_place:
-        with _Utf8File(target) as handle:
-            yield handle
-        return
-    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        with _Utf8File(temp) as handle:
-            yield handle
-        os.replace(temp, target)
+    # "out/" names a directory: the sibling is ".out...", and renaming a file to "out/" fails
+    head, name = os.path.split(path.rstrip(os.sep))
+    temp = path if in_place else os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:  # open would size its buffer by st_blksize, 4 KiB on ext4: a flush per lattice row
+        with open(temp, "wb", buffering=io.DEFAULT_BUFFER_SIZE) as handle:
+            yield lambda text: handle.write(text.encode())
+        if not in_place:
+            os.replace(temp, path)
     except BaseException as exc:
-        with suppress(OSError):  # e.g. ENOTDIR when open failed: keep open's error
-            temp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename == str(temp):  # name the file asked for
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        if not in_place:
+            with suppress(OSError):  # e.g. ENOTDIR when open failed: keep open's error
+                os.unlink(temp)
+        if isinstance(exc, OSError) and exc.filename == temp:  # name the file asked for
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -284,24 +278,39 @@ def _layout(command: str, fields, metadata, fmt: str):
     command, the metadata and the row dicts."""
     if fmt == "csv":
         return ("", *[","] * (len(fields) - 1)), "\n", (",".join(fields) + "\n", "", ""), str
-    import json
-    quote = json.encoder.encode_basestring_ascii
-    document = {"command": command, "metadata": metadata, "rows": None}
-    start, end = (json.dumps(document, indent=2) + "\n").rsplit("null", 1)  # the rows' null
+    from json.encoder import encode_basestring_ascii as quote
+
+    def dumps(value, indent):
+        """``json.dumps(value, indent=2)``, nested ``indent`` deep, for what metadata holds:
+        finite floats, ints, bools, None, str, and lists, tuples and str-keyed dicts of them."""
+        if isinstance(value, float):
+            return float.__repr__(value)
+        if isinstance(value, str):
+            return quote(value)
+        if value is None or value is True or value is False:
+            return "null" if value is None else "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        pad, (start, end) = indent + "  ", "{}" if isinstance(value, dict) else "[]"
+        items = ([f"\n{pad}{quote(key)}: {dumps(item, pad)}" for key, item in value.items()]
+                 if start == "{" else [f"\n{pad}{dumps(item, pad)}" for item in value])
+        return f"{start}{','.join(items)}\n{indent}{end}" if items else start + end
+
+    head = f'{{\n  "command": {quote(command)},\n  "metadata": {dumps(metadata, "  ")},\n  "rows": '
     prefixes = [f",\n      {quote(name)}: " for name in fields]
     return (f"    {{{prefixes[0][1:]}", *prefixes[1:]), "\n    }", (
-        start + "[\n", ",\n", "\n  ]" + end), (
+        head + "[\n", ",\n", "\n  ]\n}\n"), (
         lambda value: quote(value) if isinstance(value, str) else float.__repr__(value))
 
 
-def _write_table_rows(layout, rows, handle) -> None:
+def _write_table_rows(layout, rows, write) -> None:
     """Write the whole output: each row is each field's prefix and encoded value."""
     prefixes, row_end, (lead, sep, end), encode = layout
-    handle.write(lead + sep.join(["".join([prefix + encode(value) for prefix, value
-                                           in zip(prefixes, row)]) + row_end for row in rows]) + end)
+    write(lead + sep.join(["".join([prefix + encode(value) for prefix, value
+                                    in zip(prefixes, row)]) + row_end for row in rows]) + end)
 
 
-def _write_lattice_rows(layout, lattices, handle) -> None:
+def _write_lattice_rows(layout, lattices, write) -> None:
     """Write the whole output: each cell's row is head + repr(beta_w) + blue[j] + repr(share)
     + tail, written a matrix row at a time."""
     prefixes, row_end, (lead, sep, end), encode = layout
@@ -312,10 +321,10 @@ def _write_lattice_rows(layout, lattices, handle) -> None:
         for i, beta_w in enumerate(sweep.beta_white):
             row = f"{head}{beta_w!r}"
             ratios = (sweep.v_blue_star[i] / sweep.vaccines).tolist()
-            handle.write(lead + sep.join([f"{row}{b}{ratio!r}{tails[code]}" for b, ratio, code
-                                          in zip(blue, ratios, sweep.clamp[i].tolist())]))
+            write(lead + sep.join([f"{row}{b}{ratio!r}{tails[code]}" for b, ratio, code
+                                   in zip(blue, ratios, sweep.clamp[i].tolist())]))
             lead = sep
-    handle.write(end)
+    write(end)
 
 
 def _scenarios(args, profiles):
@@ -410,32 +419,29 @@ def _run(args, records, provenance) -> int:
     metadata = {key: values[key] for key in keys}
     if getattr(args, "out_dir", None) is None:
         write_rows = _write_lattice_rows if fields == SWEEP_FIELDS else _write_table_rows
-        with _opened(args.output) as handle:
-            write_rows(_layout(args.command, fields, metadata, args.format), rows, handle)
+        with _opened(args.output) as write:
+            write_rows(_layout(args.command, fields, metadata, args.format), rows, write)
         return EXIT_OK
-    out_dir = Path(args.out_dir)  # a file per sweep lattice, each checked before this mkdir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)  # a file per sweep lattice, each checked before
     for country, sweep in rows:
         metadata.update(v_over_l=sweep.v_over_l, degenerate_rows=degenerate_cells(
             sweep.profile, sweep.beta_white, sweep.beta_blue))
-        with _opened(out_dir / f"sweep_{country}_{sweep.v_over_l!r}.{args.format}") as handle:
+        name = f"sweep_{country}_{sweep.v_over_l!r}.{args.format}"
+        with _opened(os.path.join(args.out_dir, name)) as write:
             _write_lattice_rows(_layout("sweep", fields, metadata, args.format),
-                                [(country, sweep)], handle)
+                                [(country, sweep)], write)
     return EXIT_OK
 
 
-# Built on the first call to main and reused: parsing leaves it unchanged,
+# Built when _parse_args first needs it and reused: parsing leaves it unchanged,
 # since every default is immutable, no action appends and errors raise.
-_parser: Optional[_Parser] = None
+_parser: Optional[argparse.ArgumentParser] = None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and return 0, 1, 2 or 141; Ctrl-C and signals are the caller's."""
-    global _parser
     try:
-        if _parser is None:
-            _parser = build_parser()
-        args = _parse_args(_parser, sys.argv[1:] if argv is None else argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         records, provenance = _select_records(args)
         return _run(args, records, provenance)
     except (UsageError, ModelInputError) as exc:

@@ -314,6 +314,20 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert code == EXIT_DATA
 
 
+def test_every_dataset_message_numbers_records_across_a_quoted_newline(tmp_path, capsys):
+    # The second record's employment holds a newline (float strips it), so the third record
+    # starts on line 4: a bad number and a field over the csv limit there both say row 3.
+    rows = []
+    dataset = tmp_path / "quoted.csv"
+    for employment in (b"oops", b"1" * 200_000):
+        dataset.write_bytes(b'country,employment,telework_share\nXA,"1000\n",0.4\nXB,'
+                            + employment + b",0.4\n")
+        code, out, err = run_cli(["calibrate", "--input", str(dataset)], capsys)
+        assert (code, out) == (EXIT_DATA, "")
+        rows.append(err.split(": ")[2])
+    assert rows == ["row 3", "row 3"]
+
+
 @pytest.mark.parametrize("row, message", [
     (b"X\xe9,1000,0.4", "dataset {dataset} is not UTF-8 text"),
     (b"XA,5e-324,0.3", "country XA: a labor pool rounds to zero"),
@@ -377,8 +391,8 @@ def test_country_code_is_two_code_points_that_are_letters(tmp_path, capsys):
 
 def _fail_after_one_row(monkeypatch):
     # Write part of the first lattice, then fail the way a full disk would.
-    def write_then_fail(layout, lattices, handle):
-        handle.write("XA,partial\n")
+    def write_then_fail(layout, lattices, write):
+        write("XA,partial\n")
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli, "_write_lattice_rows", write_then_fail)
@@ -620,13 +634,15 @@ def _lattices(draw):
     return lattices
 
 
-# Metadata values shaped like the CLI's: a scalar, a flag's tuple of floats, a one-level
-# dict (grid, oracle) or a string (a dataset path, which may read "null", the text at
-# whose last occurrence _layout cuts the JSON document).
+# Metadata values shaped like the CLI's: a scalar, a flag's tuple of floats (or a list), a
+# one-level dict (grid, oracle) or a string (a dataset path, which may read "null", the
+# word the JSON document writes for None).
 _SCALARS = st.one_of(st.booleans(), st.integers(), _FINITE)
-_METADATA_VALUES = st.one_of(_SCALARS, st.lists(_FINITE, max_size=3),
+_FLOATS = st.lists(_FINITE, max_size=3)
+_METADATA_VALUES = st.one_of(_SCALARS, _FLOATS, _FLOATS.map(tuple),
                              st.dictionaries(st.text(), _SCALARS, max_size=3),
                              st.sampled_from(["null", "null.csv"]) | st.text())
+_METADATA_KEYS = tuple(dict.fromkeys(key for _, _, keys in cli._SPECS.values() for key in keys))
 
 
 def _reference_output(command, fields, metadata, rows, fmt):
@@ -640,20 +656,43 @@ def _reference_output(command, fields, metadata, rows, fmt):
     return handle.getvalue()
 
 
+def _json_example(**metadata):
+    """A JSON example: one row per command and one 1x1 lattice, all numbers 0.5, and every
+    metadata value 0.5 but those given."""
+    tables = {command: [tuple({"country": "XA", "clamp": "Interior"}.get(name, 0.5)
+                              for name in fields)]
+              for command, (fields, _, _) in cli._SPECS.items()}
+    lattice = types.SimpleNamespace(v_over_l=0.5, vaccines=1.0, beta_white=(0.5,),
+                                    beta_blue=(0.5,), v_blue_star=np.array([[0.5]]),
+                                    clamp=np.zeros((1, 1), dtype=np.int8))
+    return example(tables=tables, fmt="json", lattices=[("XA", lattice)],
+                   values={**dict.fromkeys(_METADATA_KEYS, 0.5), **metadata})
+
+
 @settings(max_examples=50, deadline=None, database=None)
-@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]), lattices=_lattices())
-def test_row_writers_write_the_bytes_of_csv_writer_and_json_dumps(data, fmt, lattices):
+@given(tables=st.fixed_dictionaries({
+           command: st.lists(st.tuples(*(_ROW_VALUES.get(name, _FINITE) for name in fields)),
+                             min_size=1, max_size=4)
+           for command, (fields, _, _) in cli._SPECS.items()}),
+       fmt=st.sampled_from(["csv", "json"]), lattices=_lattices(),
+       values=st.fixed_dictionaries(dict.fromkeys(_METADATA_KEYS, _METADATA_VALUES)))
+@_json_example(v_over_l=())
+@_json_example(grid={})
+@_json_example(oracle={"grid_points": 100001, "refine": True})
+@_json_example(dataset="d\u00e9j\u00e0 \u65e5\x00\x1f\t\n\\\"\x7f.csv")
+@_json_example(dataset="null")
+@_json_example(gamma=-0.0)
+@_json_example(gamma=5e-324)
+def test_row_writers_write_the_bytes_of_csv_writer_and_json_dumps(tables, fmt, lattices, values):
     def check(write_rows, command, rows, reference_rows):
         fields, _, keys = cli._SPECS[command]
-        metadata = data.draw(st.fixed_dictionaries(dict.fromkeys(keys, _METADATA_VALUES)))
+        metadata = {key: values[key] for key in keys}
         handle = io.StringIO()
-        write_rows(cli._layout(command, fields, metadata, fmt), rows, handle)
+        write_rows(cli._layout(command, fields, metadata, fmt), rows, handle.write)
         assert handle.getvalue() == _reference_output(command, fields, metadata,
                                                       reference_rows, fmt)
 
-    for command, (fields, _, _) in cli._SPECS.items():
-        row = st.tuples(*(_ROW_VALUES.get(name, _FINITE) for name in fields))
-        rows = data.draw(st.lists(row, min_size=1, max_size=4))
+    for command, rows in tables.items():
         check(cli._write_table_rows, command, rows, rows)
     rows = [(country, lattice.v_over_l, beta_w, beta_b, float(lattice.v_blue_star[i, j]),
              CLAMPS[lattice.clamp[i, j]].value) for country, lattice in lattices
@@ -676,7 +715,8 @@ def test_calibrate_solve_and_audit_never_import_numpy(tmp_path):
         "assert main(['solve', '--beta-w', '0.05', '--beta-b', '0.3', '--output', out]) == 0",
         "assert 'numpy' not in sys.modules, 'numpy loaded by calibrate or solve'",
         "unneeded = {'numpy', 'dataclasses', 'inspect', 'json', 'vaxalloc.oracle',",
-        "            'vaxalloc.sweep'} & (set(sys.modules) - before)",
+        "            'vaxalloc.sweep', 'argparse', 'gettext', 'locale'}",
+        "unneeded &= set(sys.modules) - before",
         "assert not unneeded, f'calibrate or solve loaded {sorted(unneeded)}'",
         "assert main(['audit', '--country', 'XA', '--beta-w', '0.1', '--beta-b', '0.6',",
         "             '--grid-points', '101', '--format', 'json', '--output', out]) == 0",
@@ -806,8 +846,8 @@ def test_json_sweep_memory_does_not_grow_with_stocks(capsys):
 
 
 def test_failed_json_output_leaves_no_file(tmp_path, capsys, monkeypatch):
-    def write_then_fail(layout, lattices, handle):
-        handle.write('[\n    {"country": "XA"')
+    def write_then_fail(layout, lattices, write):
+        write('[\n    {"country": "XA"')
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli, "_write_lattice_rows", write_then_fail)
@@ -986,8 +1026,8 @@ def test_an_interrupt_leaves_main_and_no_output(interrupt, raised, tmp_path, mon
     # main sets no handler of its own: the caller's runs, and what it raises leaves main.
     target, real = tmp_path / "s.csv", cli._write_lattice_rows
 
-    def write_then_interrupt(layout, lattices, handle):
-        real(layout, lattices, handle)
+    def write_then_interrupt(layout, lattices, write):
+        real(layout, lattices, write)
         assert [path.name for path in tmp_path.iterdir()] == [f".s.csv.{os.getpid()}.tmp"]
         interrupt()
 
@@ -1092,6 +1132,28 @@ def test_output_under_a_regular_file_is_a_data_error_naming_it(tmp_path, capsys)
     assert list(tmp_path.iterdir()) == [parent]
 
 
+def test_output_path_ending_in_a_slash_is_a_data_error_naming_it(tmp_path, capsys,
+                                                                 monkeypatch):
+    # A trailing slash names a directory: a missing one is not created as a file, and an
+    # existing one cannot be written; the error keeps the slash.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    for target, problem in [("out/", errno.ENOTDIR), ("d/", errno.EISDIR)]:
+        code, out, err = run_cli(["calibrate", "--output", target], capsys)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == (f"vaxalloc: data error: [Errno {problem}] {os.strerror(problem)}: "
+                       f"{target!r}\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["d"]
+    assert list((tmp_path / "d").iterdir()) == []
+
+
+def test_out_dir_ending_in_a_slash_is_written_into(tmp_path, capsys):
+    code, _, _ = run_cli(["sweep", "--country", "XA", "--out-dir", f"{tmp_path / 'D'}/"], capsys)
+    assert code == EXIT_OK
+    assert sorted(path.name for path in (tmp_path / "D").iterdir()) == [
+        "sweep_XA_0.2.csv", "sweep_XA_0.4.csv", "sweep_XA_0.6.csv"]
+
+
 @pytest.mark.parametrize("command, flag", [
     ("calibrate", "--input"), ("calibrate", "--output"), ("sweep", "--out-dir"),
 ])
@@ -1156,7 +1218,7 @@ _TOKEN = st.one_of(
     st.sampled_from(_VALUES),
     st.builds("{}={}".format, st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)),
 )
-_FULL_PARSER, _TABLE_PARSER = cli.build_parser(), cli.build_parser()
+_FULL_PARSER = cli.build_parser()
 _COMMON_FLAGS = ["--input", "--gamma", "--country", "--format", "--output"]
 _GRID_FLAGS = ["--beta-min", "--beta-max", "--beta-step"]
 _FLAGS = {
@@ -1223,7 +1285,7 @@ def _well_formed_argv(draw):
 @example(argv=["sweep", "--", "--out-dir", "2"])
 @example(argv=["audit", "--beta-w=-1", "--beta-b", "-0.0", "--no-refine", "--grid-points", "x"])
 def test_subcommand_argv_parses_as_the_full_parser_would(argv):
-    table = _parse_outcome(lambda a: cli._parse_args(_TABLE_PARSER, a), argv)
+    table = _parse_outcome(cli._parse_args, argv)
     assert table == _parse_outcome(_FULL_PARSER.parse_args, argv)
 
 
@@ -1249,11 +1311,10 @@ def test_only_help_and_malformed_argv_reach_argparse(monkeypatch):
     parse_args = argparse.ArgumentParser.parse_args
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
                         lambda self, *args: calls.append(args) or parse_args(self, *args))
-    parser = cli.build_parser()
 
     def argparse_calls(argv):
         calls.clear()
-        _parse_outcome(lambda a: cli._parse_args(parser, a), argv)
+        _parse_outcome(cli._parse_args, argv)
         return len(calls)
 
     base = ["solve", "--beta-w", "0.1", "--beta-b", "0.3"]
